@@ -1,95 +1,55 @@
 module Probe = Mcd_cpu.Probe
 module Domain = Mcd_domains.Domain
 
-type event = {
-  id : int;
-  seq : int;
-  domain : Domain.t;
-  start : float;
-  duration : float;
-}
-
 type t = {
-  events : event array;
-  succs : int array array;
-  preds : int array array;
+  start : float array;
+  dur : float array;
+  domain : int array;
+  succ_off : int array;
+  succ : int array;
+  pred_off : int array;
+  pred : int array;
+  order : int array;
   t_min : float;
   t_max : float;
 }
 
-(* per-instruction event ids by stage *)
-type slots = {
-  mutable fetch : int;
-  mutable dispatch : int;
-  mutable work : int; (* execute or mem *)
-  mutable retire : int;
-}
-
-let empty_slots () = { fetch = -1; dispatch = -1; work = -1; retire = -1 }
-
 let default_rob_size = 80
 
-let build ?(rob_size = default_rob_size) (raw : Probe.event array) =
-  let n = Array.length raw in
-  let events =
-    Array.mapi
-      (fun id (e : Probe.event) ->
-        {
-          id;
-          seq = e.Probe.seq;
-          domain = e.Probe.domain;
-          start = float_of_int e.Probe.start;
-          duration = float_of_int (max 1 e.Probe.duration);
-        })
-      raw
+(* Calls [edge u v] for every dependence edge among the events of [raw],
+   in insertion order: the order each node's adjacency lists keep.
+   [slots] holds each instruction's event ids at
+   [4 * (seq - min_seq) + Probe.stage_rank stage], -1 where the
+   instruction has no such event: fetch, dispatch, work (execute or
+   mem) and retire, the intra-instruction chain in order. *)
+let iter_edges ~rob_size ~domain ~slots ~min_seq raw edge =
+  let edge u v = if u >= 0 && v >= 0 && u <> v then edge u v in
+  let insts = Array.length slots / 4 in
+  let slot seq s =
+    let i = seq - min_seq in
+    if i < 0 || i >= insts then -1 else slots.((4 * i) + s)
   in
-  let by_seq = Hashtbl.create (max 16 (n / 4)) in
-  Array.iteri
-    (fun id (e : Probe.event) ->
-      let slots =
-        match Hashtbl.find_opt by_seq e.Probe.seq with
-        | Some s -> s
-        | None ->
-            let s = empty_slots () in
-            Hashtbl.add by_seq e.Probe.seq s;
-            s
-      in
-      match e.Probe.stage with
-      | Probe.Fetch_s -> slots.fetch <- id
-      | Probe.Dispatch_s -> slots.dispatch <- id
-      | Probe.Execute_s | Probe.Mem_s -> slots.work <- id
-      | Probe.Retire_s -> slots.retire <- id)
-    raw;
-  let succs_l = Array.make n [] in
-  let preds_l = Array.make n [] in
-  let add_edge u v =
-    if u >= 0 && v >= 0 && u <> v then begin
-      succs_l.(u) <- v :: succs_l.(u);
-      preds_l.(v) <- u :: preds_l.(v)
-    end
-  in
-  (* intra-instruction chains *)
-  Hashtbl.iter
-    (fun _seq s ->
-      let chain = [ s.fetch; s.dispatch; s.work; s.retire ] in
-      let present = List.filter (fun id -> id >= 0) chain in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-            add_edge a b;
-            link rest
-        | [ _ ] | [] -> ()
-      in
-      link present)
-    by_seq;
+  (* intra-instruction chains; each event has at most one chain
+     predecessor and one chain successor, and every chain edge precedes
+     the edges below, so adjacency order does not depend on the order
+     instructions are visited in *)
+  for i = 0 to insts - 1 do
+    let last = ref (-1) in
+    for s = 0 to 3 do
+      let id = slots.((4 * i) + s) in
+      if id >= 0 then begin
+        edge !last id;
+        last := id
+      end
+    done
+  done;
   (* data and control dependences, serialization of fetch and retire,
      and reorder-buffer occupancy pressure *)
   let dep_edges id (e : Probe.event) =
-    Array.iter
-      (fun pseq ->
-        match Hashtbl.find_opt by_seq pseq with
-        | Some ps when ps.work >= 0 -> add_edge ps.work id
-        | Some _ | None -> ())
-      e.Probe.dep_seqs
+    let deps = e.Probe.dep_seqs in
+    for j = 0 to Array.length deps - 1 do
+      edge (slot deps.(j) 2 (* work *)) id
+    done
   in
   let last_fetch = ref (-1) and last_retire = ref (-1) in
   (* execution-resource serialization: within a domain, the k-th recent
@@ -100,13 +60,11 @@ let build ?(rob_size = default_rob_size) (raw : Probe.event array) =
   let resource_lag = [| 1; 4; 2; 2 |] (* front, int, fp, mem *) in
   let resource_fifo = Array.map (fun lag -> Array.make lag (-1)) resource_lag in
   let resource_pos = Array.make (Array.length resource_lag) 0 in
-  let resource_edge id domain =
-    let d = Domain.index domain in
+  let resource_edge id d =
     let lag = resource_lag.(d) in
     let fifo = resource_fifo.(d) in
     let pos = resource_pos.(d) in
-    let prev = fifo.(pos mod lag) in
-    if prev >= 0 then add_edge prev id;
+    edge fifo.(pos mod lag) id;
     fifo.(pos mod lag) <- id;
     resource_pos.(d) <- pos + 1
   in
@@ -114,53 +72,107 @@ let build ?(rob_size = default_rob_size) (raw : Probe.event array) =
     (fun id (e : Probe.event) ->
       match e.Probe.stage with
       | Probe.Fetch_s ->
-          add_edge !last_fetch id;
+          edge !last_fetch id;
           last_fetch := id;
           (* control dependence on a mispredicted branch *)
           dep_edges id e;
           (* ROB pressure: instruction i cannot be fetched before
              instruction i - rob_size retires *)
-          (match Hashtbl.find_opt by_seq (e.Probe.seq - rob_size) with
-          | Some ps when ps.retire >= 0 -> add_edge ps.retire id
-          | Some _ | None -> ())
+          edge (slot (e.Probe.seq - rob_size) 3 (* retire *)) id
       | Probe.Retire_s ->
-          add_edge !last_retire id;
+          edge !last_retire id;
           last_retire := id
       | Probe.Execute_s | Probe.Mem_s ->
           dep_edges id e;
-          resource_edge id e.Probe.domain
+          resource_edge id domain.(id)
       | Probe.Dispatch_s -> ())
+    raw
+
+let build ?(rob_size = default_rob_size) (raw : Probe.event array) =
+  let n = Array.length raw in
+  let start = Array.make n 0.0 and dur = Array.make n 0.0 in
+  let domain = Array.make n 0 in
+  let min_seq = ref max_int and max_seq = ref min_int in
+  Array.iteri
+    (fun id (e : Probe.event) ->
+      start.(id) <- float_of_int e.Probe.start;
+      dur.(id) <- float_of_int (max 1 e.Probe.duration);
+      domain.(id) <- Domain.index e.Probe.domain;
+      if e.Probe.seq < !min_seq then min_seq := e.Probe.seq;
+      if e.Probe.seq > !max_seq then max_seq := e.Probe.seq)
     raw;
-  let t_min =
-    Array.fold_left (fun acc e -> Float.min acc e.start) Float.infinity events
+  let min_seq = !min_seq in
+  let slots =
+    Array.make (if n = 0 then 0 else 4 * (!max_seq - min_seq + 1)) (-1)
   in
-  let t_max =
-    Array.fold_left
-      (fun acc e -> Float.max acc (e.start +. e.duration))
-      Float.neg_infinity events
-  in
+  Array.iteri
+    (fun id (e : Probe.event) ->
+      let i = e.Probe.seq - min_seq in
+      slots.((4 * i) + Probe.stage_rank e.Probe.stage) <- id)
+    raw;
+  let iter_edges = iter_edges ~rob_size ~domain ~slots ~min_seq raw in
+  (* CSR from two identical edge walks: the first counts each node's
+     degrees, the second files every edge at its node's cursor, so each
+     list keeps insertion order *)
+  let succ_off = Array.make (n + 1) 0 and pred_off = Array.make (n + 1) 0 in
+  iter_edges (fun u v ->
+      succ_off.(u + 1) <- succ_off.(u + 1) + 1;
+      pred_off.(v + 1) <- pred_off.(v + 1) + 1);
+  for i = 1 to n do
+    succ_off.(i) <- succ_off.(i) + succ_off.(i - 1);
+    pred_off.(i) <- pred_off.(i) + pred_off.(i - 1)
+  done;
+  let succ = Array.make succ_off.(n) 0 and pred = Array.make pred_off.(n) 0 in
+  let succ_next = Array.sub succ_off 0 n in
+  let pred_next = Array.sub pred_off 0 n in
+  iter_edges (fun u v ->
+      succ.(succ_next.(u)) <- v;
+      succ_next.(u) <- succ_next.(u) + 1;
+      pred.(pred_next.(v)) <- u;
+      pred_next.(v) <- pred_next.(v) + 1);
+  (* Starts are float_of_int of non-negative ints and durations are
+     >= 1, so no operand below is NaN or -0.0: the plain comparisons
+     pick the same values Float.min/Float.max would, and (start, id)
+     keys order exactly as polymorphic compare on the pair does. *)
+  let t_min = ref Float.infinity and t_max = ref Float.neg_infinity in
+  for id = 0 to n - 1 do
+    if start.(id) < !t_min then t_min := start.(id);
+    let e_end = start.(id) +. dur.(id) in
+    if e_end > !t_max then t_max := e_end
+  done;
+  let order = Array.init n (fun id -> id) in
+  Array.stable_sort
+    (fun a b ->
+      let sa = start.(a) and sb = start.(b) in
+      if sa < sb then -1 else if sa > sb then 1 else Int.compare a b)
+    order;
   {
-    events;
-    succs = Array.map (fun l -> Array.of_list (List.rev l)) succs_l;
-    preds = Array.map (fun l -> Array.of_list (List.rev l)) preds_l;
-    t_min = (if n = 0 then 0.0 else t_min);
-    t_max = (if n = 0 then 0.0 else t_max);
+    start;
+    dur;
+    domain;
+    succ_off;
+    succ;
+    pred_off;
+    pred;
+    order;
+    t_min = (if n = 0 then 0.0 else !t_min);
+    t_max = (if n = 0 then 0.0 else !t_max);
   }
 
-let size t = Array.length t.events
-
-let edge_count t =
-  Array.fold_left (fun acc s -> acc + Array.length s) 0 t.succs
+let size t = Array.length t.start
+let edge_count t = Array.length t.succ
 
 let slack t id =
-  let e = t.events.(id) in
-  let e_end = e.start +. e.duration in
-  let s = t.succs.(id) in
-  if Array.length s = 0 then Float.max 0.0 (t.t_max -. e_end)
-  else
-    Array.fold_left
-      (fun acc sid -> Float.min acc (Float.max 0.0 (t.events.(sid).start -. e_end)))
-      Float.infinity s
+  let e_end = t.start.(id) +. t.dur.(id) in
+  if t.succ_off.(id) = t.succ_off.(id + 1) then
+    Float.max 0.0 (t.t_max -. e_end)
+  else begin
+    let acc = ref Float.infinity in
+    for j = t.succ_off.(id) to t.succ_off.(id + 1) - 1 do
+      acc := Float.min !acc (Float.max 0.0 (t.start.(t.succ.(j)) -. e_end))
+    done;
+    !acc
+  end
 
 (* The first portion of each edge's observed gap is latch/wakeup/
    synchronization time that stretches with the consumer domain's
@@ -169,119 +181,147 @@ let slack t id =
    plus one synchronization capture at full speed. *)
 let scaled_gap_cap_ps = 1800.0
 
-(* Longest path under per-domain stretch factors. The DP models event
-   start times: a consumer starts no earlier than each producer's start
-   plus the producer's (stretched) duration plus the hop gap, where the
-   first [scaled_gap_cap_ps] of a non-negative gap scales with the
-   consumer's domain (latch/wakeup/synchronization) and the remainder is
-   a frequency-independent wait; a negative gap (co-scheduled events,
-   e.g. a 4-wide fetch group) scales with the producer's domain so that
-   co-issue stays co-issue at any frequency. Every event is also
-   anchored at its recorded start as a frequency-independent lower bound
-   (waits the DAG does not explain). At full speed the computed makespan
+(* [Float.min g scaled_gap_cap_ps] for a non-negative gap [g]: a
+   difference of integral floats, so never NaN or -0.0 *)
+let[@inline] scaled_part g =
+  if g < scaled_gap_cap_ps then g else scaled_gap_cap_ps
+
+(* Longest paths under [k] probes at once; [slow.(p * Domain.count + d)]
+   stretches domain index [d] under probe [p]. The DP models event start
+   times: a consumer starts no earlier than each producer's start plus
+   the producer's (stretched) duration plus the hop gap, where the first
+   [scaled_gap_cap_ps] of a non-negative gap scales with the consumer's
+   domain (latch/wakeup/synchronization) and the remainder is a
+   frequency-independent wait; a negative gap (co-scheduled events, e.g.
+   a 4-wide fetch group) scales with the producer's domain so that
+   co-issue stays co-issue at any frequency. Every event is also anchored
+   at its recorded start as a frequency-independent lower bound (waits
+   the DAG does not explain). At full speed the computed makespan
    therefore equals the recorded one exactly.
 
-   Returns the composition of the winning path: per-domain scaling time
-   in the first {!Domain.count} entries (possibly negative contributions
-   from overlaps), frequency-independent time in the last. *)
-let longest_path_signature t ~slow =
-  let n = Array.length t.events in
-  if n = 0 then Array.make (Domain.count + 1) 0.0
+   One walk of [order] serves every probe: the gap of a predecessor edge
+   is probe-independent, and each probe's (start, best predecessor)
+   column [v * k + p] sees the same operations in the same order as a
+   walk of its own would.
+
+   Returns, per probe, the composition of the winning path: per-domain
+   scaling time in the first {!Domain.count} entries (possibly negative
+   contributions from overlaps), frequency-independent time in the
+   last. *)
+let signatures t (slow : float array) =
+  let nd = Domain.count in
+  let k = Array.length slow / nd in
+  let n = size t in
+  if n = 0 then Array.init k (fun _ -> Array.make (nd + 1) 0.0)
   else begin
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (t.events.(a).start, a) (t.events.(b).start, b))
-      order;
-    let s_time = Array.make n 0.0 in
-    (* starts *)
-    let best_pred = Array.make n (-1) in
-    let gap u v =
-      let eu = t.events.(u) and ev = t.events.(v) in
-      ev.start -. (eu.start +. eu.duration)
-    in
-    Array.iter
-      (fun id ->
-        let e = t.events.(id) in
-        let from =
-          Array.fold_left
-            (fun acc pid ->
-              let eu = t.events.(pid) in
-              let g = gap pid id in
-              let hop =
-                if g >= 0.0 then
-                  let scaled = Float.min g scaled_gap_cap_ps in
-                  (scaled *. slow e.domain) +. (g -. scaled)
-                else g *. slow eu.domain
-              in
-              let cand =
-                s_time.(pid) +. (eu.duration *. slow eu.domain) +. hop
-              in
-              if cand > fst acc then (cand, pid) else acc)
-            (e.start -. t.t_min, -1)
-            t.preds.(id)
-        in
-        s_time.(id) <- fst from;
-        best_pred.(id) <- snd from)
-      order;
-    let sink = ref 0 in
-    let end_of id =
-      s_time.(id) +. (t.events.(id).duration *. slow t.events.(id).domain)
-    in
-    Array.iteri (fun id _ -> if end_of id > end_of !sink then sink := id)
-      t.events;
-    let signature = Array.make (Domain.count + 1) 0.0 in
-    let add d v = signature.(d) <- signature.(d) +. v in
-    let add_dom domain v = add (Domain.index domain) v in
-    let add_const v = add Domain.count v in
-    (* the sink's own duration *)
-    add_dom t.events.(!sink).domain t.events.(!sink).duration;
-    let rec back id =
-      let pid = best_pred.(id) in
-      if pid < 0 then add_const (t.events.(id).start -. t.t_min)
-      else begin
-        let eu = t.events.(pid) and ev = t.events.(id) in
-        let g = gap pid id in
+    let start = t.start and dur = t.dur and dom = t.domain in
+    let pred_off = t.pred_off and pred = t.pred in
+    let s_time = Array.make (n * k) 0.0 in
+    let best_pred = Array.make (n * k) (-1) in
+    for i = 0 to n - 1 do
+      let v = t.order.(i) in
+      let vk = v * k in
+      let anchor = start.(v) -. t.t_min in
+      for p = 0 to k - 1 do
+        s_time.(vk + p) <- anchor
+      done;
+      let sv = start.(v) and dv = dom.(v) in
+      for j = pred_off.(v) to pred_off.(v + 1) - 1 do
+        let u = pred.(j) in
+        let uk = u * k and du = dom.(u) and dur_u = dur.(u) in
+        let g = sv -. (start.(u) +. dur_u) in
         if g >= 0.0 then begin
-          let scaled = Float.min g scaled_gap_cap_ps in
-          add_dom ev.domain scaled;
-          add_const (g -. scaled)
+          let scaled = scaled_part g in
+          let rest = g -. scaled in
+          for p = 0 to k - 1 do
+            let cand =
+              s_time.(uk + p)
+              +. (dur_u *. slow.((p * nd) + du))
+              +. ((scaled *. slow.((p * nd) + dv)) +. rest)
+            in
+            if cand > s_time.(vk + p) then begin
+              s_time.(vk + p) <- cand;
+              best_pred.(vk + p) <- u
+            end
+          done
         end
-        else add_dom eu.domain g;
-        add_dom eu.domain eu.duration;
-        back pid
-      end
-    in
-    back !sink;
-    signature
+        else
+          for p = 0 to k - 1 do
+            let su = slow.((p * nd) + du) in
+            let cand = s_time.(uk + p) +. (dur_u *. su) +. (g *. su) in
+            if cand > s_time.(vk + p) then begin
+              s_time.(vk + p) <- cand;
+              best_pred.(vk + p) <- u
+            end
+          done
+      done
+    done;
+    Array.init k (fun p ->
+        (* sink: the first event with the latest stretched end *)
+        let sink = ref 0 and sink_end = ref 0.0 in
+        for id = 0 to n - 1 do
+          let e_end =
+            s_time.((id * k) + p) +. (dur.(id) *. slow.((p * nd) + dom.(id)))
+          in
+          if id = 0 || e_end > !sink_end then begin
+            sink := id;
+            sink_end := e_end
+          end
+        done;
+        let signature = Array.make (nd + 1) 0.0 in
+        let add d x = signature.(d) <- signature.(d) +. x in
+        (* the sink's own duration, then each hop back to the source *)
+        add dom.(!sink) dur.(!sink);
+        let rec back v =
+          let u = best_pred.((v * k) + p) in
+          if u < 0 then add nd (start.(v) -. t.t_min)
+          else begin
+            let g = start.(v) -. (start.(u) +. dur.(u)) in
+            if g >= 0.0 then begin
+              let scaled = scaled_part g in
+              add dom.(v) scaled;
+              add nd (g -. scaled)
+            end
+            else add dom.(u) g;
+            add dom.(u) dur.(u);
+            back u
+          end
+        in
+        back !sink;
+        signature)
   end
 
+let longest_path_signature t ~slow =
+  let probe = Array.init Domain.count (fun d -> slow (Domain.of_index d)) in
+  (signatures t probe).(0)
+
+(* Full speed, everything 4x slower, then each domain 4x slower alone. *)
+let probes =
+  Array.concat
+    (Array.make Domain.count 1.0
+    :: Array.make Domain.count 4.0
+    :: List.init Domain.count (fun d ->
+           Array.init Domain.count (fun i -> if i = d then 4.0 else 1.0)))
+
 let path_signatures t =
-  let base_sig = longest_path_signature t ~slow:(fun _ -> 1.0) in
-  let base_ps = Array.fold_left ( +. ) 0.0 base_sig in
-  let probes =
-    (fun (_ : Domain.t) -> 1.0)
-    :: (fun (_ : Domain.t) -> 4.0)
-    :: List.map
-         (fun d other -> if other = d then 4.0 else 1.0)
-         Domain.all
-  in
-  let signatures = List.map (fun slow -> longest_path_signature t ~slow) probes in
-  { Path_model.base_ps; signatures }
+  let signatures = signatures t probes in
+  (* probe 0 is the full-speed path *)
+  let base_ps = Array.fold_left ( +. ) 0.0 signatures.(0) in
+  { Path_model.base_ps; signatures = Array.to_list signatures }
 
 let validate t =
   let tolerance = 2000.0 (* ps: sync + jitter slop *) in
-  Array.iteri
-    (fun id e ->
-      if e.id <> id then invalid_arg "Dag.validate: id mismatch";
-      if e.duration <= 0.0 then invalid_arg "Dag.validate: non-positive duration";
-      Array.iter
-        (fun sid ->
-          let s = t.events.(sid) in
-          if s.start +. tolerance < e.start then
-            invalid_arg
-              (Printf.sprintf
-                 "Dag.validate: edge %d->%d goes backward in time (%.0f -> %.0f)"
-                 id sid e.start s.start))
-        t.succs.(id))
-    t.events
+  let n = size t in
+  if Array.length t.succ <> Array.length t.pred then
+    invalid_arg "Dag.validate: successor and predecessor edge counts differ";
+  for id = 0 to n - 1 do
+    if t.dur.(id) <= 0.0 then invalid_arg "Dag.validate: non-positive duration";
+    for j = t.succ_off.(id) to t.succ_off.(id + 1) - 1 do
+      let sid = t.succ.(j) in
+      if t.start.(sid) +. tolerance < t.start.(id) then
+        invalid_arg
+          (Printf.sprintf
+             "Dag.validate: edge %d->%d goes backward in time (%.0f -> %.0f)"
+             id sid t.start.(id) t.start.(sid))
+    done
+  done

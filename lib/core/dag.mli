@@ -22,21 +22,25 @@
     the gap between a producer's end and a consumer's start — reflects
     real scheduling slack in the machine. *)
 
-type event = {
-  id : int;
-  seq : int;  (** owning dynamic instruction *)
-  domain : Mcd_domains.Domain.t;
-  start : float;  (** ps, from the profiling run *)
-  duration : float;  (** ps, at full frequency *)
-}
-
 type t = {
-  events : event array;  (** indexed by [id], in (seq, stage) order *)
-  succs : int array array;
-  preds : int array array;
+  start : float array;  (** ps per event id, from the profiling run *)
+  dur : float array;  (** ps at full frequency, >= 1 *)
+  domain : int array;  (** {!Mcd_domains.Domain.index} of each event *)
+  succ_off : int array;
+      (** CSR offsets: the successors of [id] are
+          [succ.(succ_off.(id)) .. succ.(succ_off.(id + 1) - 1)] *)
+  succ : int array;
+  pred_off : int array;  (** CSR offsets into [pred], as [succ_off] *)
+  pred : int array;
+  order : int array;
+      (** event ids sorted by (start, id): the processing order of the
+          shaker and of the path DP *)
   t_min : float;  (** earliest event start (segment source bound) *)
   t_max : float;  (** latest event end (segment sink bound) *)
 }
+(** Struct of arrays indexed by event id. Ids follow the input's (seq,
+    stage) order; each adjacency list keeps the order its edges were
+    added in. *)
 
 val build : ?rob_size:int -> Mcd_cpu.Probe.event array -> t
 (** The input must be sorted by (seq, stage) as produced by
@@ -54,9 +58,10 @@ val slack : t -> int -> float
     against rounding). *)
 
 val validate : t -> unit
-(** Check DAG invariants (edges point forward in time up to a small
-    tolerance, ids consistent). Raises [Invalid_argument] on violation;
-    used by tests. *)
+(** Check DAG invariants (positive durations, as many predecessor as
+    successor entries, edges point forward in time up to a small
+    tolerance). Raises [Invalid_argument] on violation; used by
+    tests. *)
 
 val longest_path_signature : t -> slow:(Mcd_domains.Domain.t -> float) -> float array
 (** Composition of the longest path when every event in domain [d] is
@@ -66,6 +71,9 @@ val longest_path_signature : t -> slow:(Mcd_domains.Domain.t -> float) -> float 
     setting's slowdown (the paper's "delay calculation"). *)
 
 val path_signatures : t -> Path_model.segment
-(** Signatures of the binding paths under a standard probe set (full
-    speed, each domain slowed alone, all slowed), packaged with the
-    full-speed critical-path length. *)
+(** Signatures of the binding paths under the standard probe set — full
+    speed, all domains slowed 4x, then each domain slowed 4x alone — in
+    that order, computed by one DP walk that carries every probe, and
+    packaged with the full-speed critical-path length (the sum of the
+    first signature). Each signature is bit-equal to
+    {!longest_path_signature} under its probe. *)

@@ -19,84 +19,88 @@ let power_at ~p0 ~f = p0 *. Freq.energy_scale f *. (f /. fmax)
 let freq_of ~orig ~dur = fmax *. orig /. dur
 let dur_at ~orig ~f = orig *. fmax /. f
 
-(* Lowest step frequency reachable for an event given available slack
-   and the power threshold: step down while power still exceeds the
-   threshold and the extra duration fits in the slack. *)
-let target_freq ~p0 ~orig ~dur ~slack ~threshold =
-  let cur_f = freq_of ~orig ~dur in
-  let rec go best idx =
-    if idx < 0 then best
-    else
-      let f = float_of_int (Freq.of_index idx) in
-      if f >= cur_f then go best (idx - 1)
-      else if power_at ~p0 ~f:best <= threshold then best
-      else
-        let extra = dur_at ~orig ~f -. dur in
-        if extra <= slack +. 1e-9 then go f (idx - 1) else best
-  in
-  go cur_f (Freq.num_steps - 1)
-
+(* The min/max folds below compare relative powers (positive
+   constants), starts, ends and their differences. Starts begin as
+   float_of_int of non-negative ints, durations stay >= 1 and x -. x is
+   +0, so these values are finite and never -0.0: a plain [<]/[>]
+   selects the value Float.min/Float.max would, and
+   [if x > 0.0 then x else 0.0] is exactly [Float.max 0.0 x]. *)
 let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
   let n = Dag.size dag in
-  let start = Array.map (fun (e : Dag.event) -> e.Dag.start) dag.Dag.events in
-  let dur = Array.map (fun (e : Dag.event) -> e.Dag.duration) dag.Dag.events in
-  let orig = Array.copy dur in
+  let order = dag.Dag.order and dom = dag.Dag.domain in
+  let succ_off = dag.Dag.succ_off and succ = dag.Dag.succ in
+  let pred_off = dag.Dag.pred_off and pred = dag.Dag.pred in
+  let t_min = dag.Dag.t_min and t_max = dag.Dag.t_max in
+  (* the shaker works on a copy of the schedule *)
+  let start = Array.copy dag.Dag.start in
+  let dur = Array.copy dag.Dag.dur in
+  let orig = dag.Dag.dur in
   let p0 =
-    Array.map
-      (fun (e : Dag.event) -> Domain.relative_power e.Dag.domain)
-      dag.Dag.events
+    Array.init Domain.count (fun d -> Domain.relative_power (Domain.of_index d))
   in
-  (* processing orders from the original (topological) schedule *)
-  let fwd_order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b -> compare (start.(a), a) (start.(b), b))
-    fwd_order;
-  let bwd_order = Array.of_list (List.rev (Array.to_list fwd_order)) in
-  let out_slack id =
-    let e_end = start.(id) +. dur.(id) in
-    let s = dag.Dag.succs.(id) in
-    if Array.length s = 0 then Float.max 0.0 (dag.Dag.t_max -. e_end)
-    else
-      Array.fold_left
-        (fun acc sid -> Float.min acc (start.(sid) -. e_end))
-        Float.infinity s
-      |> Float.max 0.0
+  let nsteps = Freq.num_steps in
+  let grid = Array.init nsteps (fun i -> float_of_int (Freq.of_index i)) in
+  (* power of each grid step, per domain, at [d * nsteps + step] *)
+  let step_power =
+    Array.init (Domain.count * nsteps) (fun i ->
+        power_at ~p0:p0.(i / nsteps) ~f:grid.(i mod nsteps))
   in
-  let in_slack id =
-    let p = dag.Dag.preds.(id) in
-    if Array.length p = 0 then Float.max 0.0 (start.(id) -. dag.Dag.t_min)
-    else
-      Array.fold_left
-        (fun acc pid -> Float.min acc (start.(id) -. (start.(pid) +. dur.(pid))))
-        Float.infinity p
-      |> Float.max 0.0
+  (* each event's power at its current frequency, refreshed whenever its
+     duration changes *)
+  let power =
+    Array.init n (fun id ->
+        power_at ~p0:p0.(dom.(id)) ~f:(freq_of ~orig:orig.(id) ~dur:dur.(id)))
   in
-  let min_succ_start id =
-    let s = dag.Dag.succs.(id) in
-    if Array.length s = 0 then dag.Dag.t_max
-    else Array.fold_left (fun acc sid -> Float.min acc start.(sid)) Float.infinity s
-  in
-  let max_pred_end id =
-    let p = dag.Dag.preds.(id) in
-    if Array.length p = 0 then dag.Dag.t_min
-    else
-      Array.fold_left
-        (fun acc pid -> Float.max acc (start.(pid) +. dur.(pid)))
-        Float.neg_infinity p
-  in
+  (* the grid step each event last moved to (full speed at first); its
+     current frequency is within rounding of that step's *)
+  let level = Array.make n (nsteps - 1) in
   let stretched = ref false in
   let stretch_threshold =
-    let m = Array.fold_left Float.max 0.0 p0 in
-    ref (0.95 *. m)
+    let m = ref 0.0 in
+    for id = 0 to n - 1 do
+      if p0.(dom.(id)) > !m then m := p0.(dom.(id))
+    done;
+    ref (0.95 *. !m)
   in
-  let stretch id slack =
-    let f_cur = freq_of ~orig:orig.(id) ~dur:dur.(id) in
-    let f' =
-      target_freq ~p0:p0.(id) ~orig:orig.(id) ~dur:dur.(id) ~slack
-        ~threshold:!stretch_threshold
-    in
-    if f' < f_cur -. 1e-9 then begin
-      dur.(id) <- dur_at ~orig:orig.(id) ~f:f';
+  (* Scale [id] down to the lowest step frequency reachable with [slack]
+     ps of room: step down while power still exceeds the threshold and
+     the extra duration fits in the slack. Inlined at both call sites so
+     [slack] is never boxed. *)
+  let[@inline] stretch id slack =
+    let threshold = !stretch_threshold in
+    let cur_f = freq_of ~orig:orig.(id) ~dur:dur.(id) in
+    (* the chosen step, or -1 while still at [cur_f]; every step above
+       [level] lies above [cur_f], so a scan from the top would only pass
+       over them *)
+    let best = ref (-1) and idx = ref level.(id) in
+    while !idx >= 0 do
+      let f = grid.(!idx) in
+      if f >= cur_f then decr idx
+      else begin
+        let best_power =
+          if !best < 0 then power.(id)
+          else step_power.((dom.(id) * nsteps) + !best)
+        in
+        if best_power <= threshold then idx := -1
+        else begin
+          let extra = dur_at ~orig:orig.(id) ~f -. dur.(id) in
+          if extra <= slack +. 1e-9 then begin
+            best := !idx;
+            decr idx
+          end
+          else idx := -1
+        end
+      end
+    done;
+    if !best >= 0 && grid.(!best) < cur_f -. 1e-9 then begin
+      dur.(id) <- dur_at ~orig:orig.(id) ~f:grid.(!best);
+      level.(id) <- !best;
+      (* the new frequency usually rounds back to the step exactly, and
+         then its power is the table's *)
+      let f = freq_of ~orig:orig.(id) ~dur:dur.(id) in
+      power.(id) <-
+        (if f = grid.(!best) then step_power.((dom.(id) * nsteps) + !best)
+         else power_at ~p0:p0.(dom.(id)) ~f);
       stretched := true
     end
   in
@@ -108,56 +112,75 @@ let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
     stretched := false;
     (* backward pass: consume outgoing slack, push remaining slack to
        incoming edges by moving the event later *)
-    Array.iter
-      (fun id ->
-        let slack = out_slack id in
-        if slack > 0.0 && power_at ~p0:p0.(id) ~f:(freq_of ~orig:orig.(id) ~dur:dur.(id)) > !stretch_threshold
-        then stretch id slack;
-        (* move as late as dependences allow *)
-        let latest = min_succ_start id -. dur.(id) in
-        if latest > start.(id) then start.(id) <- latest)
-      bwd_order;
+    for i = n - 1 downto 0 do
+      let id = order.(i) in
+      let e_end = start.(id) +. dur.(id) in
+      let slack = ref Float.infinity in
+      let min_succ_start = ref Float.infinity in
+      if succ_off.(id) = succ_off.(id + 1) then begin
+        slack := t_max -. e_end;
+        min_succ_start := t_max
+      end
+      else
+        for j = succ_off.(id) to succ_off.(id + 1) - 1 do
+          let s = start.(succ.(j)) in
+          let gap = s -. e_end in
+          if gap < !slack then slack := gap;
+          if s < !min_succ_start then min_succ_start := s
+        done;
+      let slack = if !slack > 0.0 then !slack else 0.0 in
+      if slack > 0.0 && power.(id) > !stretch_threshold then stretch id slack;
+      (* move as late as dependences allow *)
+      let latest = !min_succ_start -. dur.(id) in
+      if latest > start.(id) then start.(id) <- latest
+    done;
     (* forward pass: consume incoming slack, push remaining slack to
        outgoing edges by moving the event earlier *)
-    Array.iter
-      (fun id ->
-        let slack = in_slack id in
-        if slack > 0.0 && power_at ~p0:p0.(id) ~f:(freq_of ~orig:orig.(id) ~dur:dur.(id)) > !stretch_threshold
-        then begin
-          let before = dur.(id) in
-          stretch id slack;
-          (* growing into incoming slack means starting earlier *)
-          let grown = dur.(id) -. before in
-          if grown > 0.0 then start.(id) <- start.(id) -. grown
-        end;
-        let earliest = max_pred_end id in
-        if earliest < start.(id) then start.(id) <- earliest)
-      fwd_order;
+    for i = 0 to n - 1 do
+      let id = order.(i) in
+      let slack = ref Float.infinity in
+      let max_pred_end = ref Float.neg_infinity in
+      if pred_off.(id) = pred_off.(id + 1) then begin
+        slack := start.(id) -. t_min;
+        max_pred_end := t_min
+      end
+      else
+        for j = pred_off.(id) to pred_off.(id + 1) - 1 do
+          let pid = pred.(j) in
+          let p_end = start.(pid) +. dur.(pid) in
+          let gap = start.(id) -. p_end in
+          if gap < !slack then slack := gap;
+          if p_end > !max_pred_end then max_pred_end := p_end
+        done;
+      let slack = if !slack > 0.0 then !slack else 0.0 in
+      if slack > 0.0 && power.(id) > !stretch_threshold then begin
+        let before = dur.(id) in
+        stretch id slack;
+        (* growing into incoming slack means starting earlier *)
+        let grown = dur.(id) -. before in
+        if grown > 0.0 then start.(id) <- start.(id) -. grown
+      end;
+      if !max_pred_end < start.(id) then start.(id) <- !max_pred_end
+    done;
     passes_done := !pass;
     stretch_threshold := !stretch_threshold *. threshold_decay;
     if !stretched then quiet_pairs := 0 else incr quiet_pairs
   done;
   let histograms =
-    Array.init Domain.count (fun _ -> Histogram.create ~bins:Freq.num_steps)
+    Array.init Domain.count (fun _ -> Histogram.create ~bins:nsteps)
   in
   let stretched_events = ref 0 in
-  Array.iteri
-    (fun id (e : Dag.event) ->
-      let f = freq_of ~orig:orig.(id) ~dur:dur.(id) in
-      (* snap down to the step actually sustainable for this event *)
-      let step =
-        let rec go idx =
-          if idx <= 0 then 0
-          else if float_of_int (Freq.of_index idx) <= f +. 1e-6 then idx
-          else go (idx - 1)
-        in
-        go (Freq.num_steps - 1)
-      in
-      if step < Freq.num_steps - 1 then incr stretched_events;
-      let cycles = orig.(id) /. 1000.0 in
-      Histogram.add histograms.(Domain.index e.Dag.domain) ~bin:step
-        ~weight:cycles)
-    dag.Dag.events;
+  for id = 0 to n - 1 do
+    let f = freq_of ~orig:orig.(id) ~dur:dur.(id) in
+    (* snap down to the step actually sustainable for this event *)
+    let step = ref (nsteps - 1) in
+    while !step > 0 && grid.(!step) > f +. 1e-6 do
+      decr step
+    done;
+    if !step < nsteps - 1 then incr stretched_events;
+    Histogram.add histograms.(dom.(id)) ~bin:!step
+      ~weight:(orig.(id) /. 1000.0)
+  done;
   {
     histograms;
     passes = !passes_done;

@@ -22,3 +22,9 @@ let stage_name = function
   | Execute_s -> "execute"
   | Mem_s -> "mem"
   | Retire_s -> "retire"
+
+let stage_rank = function
+  | Fetch_s -> 0
+  | Dispatch_s -> 1
+  | Execute_s | Mem_s -> 2
+  | Retire_s -> 3

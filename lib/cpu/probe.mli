@@ -36,3 +36,8 @@ type t = {
 }
 
 val stage_name : stage -> string
+
+val stage_rank : stage -> int
+(** Pipeline position of a stage within its instruction: fetch 0,
+    dispatch 1, execute and mem 2, retire 3. Event streams are sorted by
+    (seq, stage rank). *)

@@ -130,18 +130,14 @@ let probe t =
     on_marker = (fun m ~seq -> on_marker t m ~seq);
   }
 
-let stage_rank = function
-  | Probe.Fetch_s -> 0
-  | Probe.Dispatch_s -> 1
-  | Probe.Execute_s -> 2
-  | Probe.Mem_s -> 2
-  | Probe.Retire_s -> 3
-
 let sort_events arr =
   Array.sort
     (fun (a : Probe.event) (b : Probe.event) ->
-      match compare a.Probe.seq b.Probe.seq with
-      | 0 -> compare (stage_rank a.Probe.stage) (stage_rank b.Probe.stage)
+      match Int.compare a.Probe.seq b.Probe.seq with
+      | 0 ->
+          Int.compare
+            (Probe.stage_rank a.Probe.stage)
+            (Probe.stage_rank b.Probe.stage)
       | c -> c)
     arr;
   arr
@@ -153,7 +149,7 @@ let segments t =
     (fun iv ->
       match iv.buf with
       | Some buf when Vec.length buf > 0 ->
-          let arr = sort_events (Array.of_list (Vec.to_list buf)) in
+          let arr = sort_events (Vec.to_array buf) in
           if not (Hashtbl.mem by_node iv.target) then begin
             Hashtbl.add by_node iv.target [];
             order := iv.target :: !order

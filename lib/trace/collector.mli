@@ -31,5 +31,11 @@ val segments : t -> (int * Mcd_cpu.Probe.event array list) list
     at least once, in tree order. Each segment's events are sorted by
     instruction sequence number and stage. *)
 
+val sort_events : Mcd_cpu.Probe.event array -> Mcd_cpu.Probe.event array
+(** Sort in place by (seq, {!Mcd_cpu.Probe.stage_rank}) and return the
+    array: the order segments and intervals are handed out in. Execute
+    and mem events of one instruction tie; the sort breaks the tie the
+    same way on every run. *)
+
 val intervals_seen : t -> int
 (** Total attribution intervals opened (including discarded ones). *)

@@ -28,23 +28,8 @@ let on_event t (ev : Probe.event) =
 let probe t =
   { Probe.on_event = on_event t; on_marker = (fun _ ~seq:_ -> ()) }
 
-let stage_rank = function
-  | Probe.Fetch_s -> 0
-  | Probe.Dispatch_s -> 1
-  | Probe.Execute_s -> 2
-  | Probe.Mem_s -> 2
-  | Probe.Retire_s -> 3
-
 let intervals t =
   Vec.to_list t.buckets
-  |> List.map (fun bucket ->
-         let arr = Array.of_list (Vec.to_list bucket) in
-         Array.sort
-           (fun (a : Probe.event) (b : Probe.event) ->
-             compare
-               (a.Probe.seq, stage_rank a.Probe.stage)
-               (b.Probe.seq, stage_rank b.Probe.stage))
-           arr;
-         arr)
+  |> List.map (fun bucket -> Collector.sort_events (Vec.to_array bucket))
 
 let interval_insts t = t.interval

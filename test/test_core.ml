@@ -113,12 +113,45 @@ let test_dag_signature_senses_domain () =
   Alcotest.(check bool) "integer time on the binding path" true
     (sig4.(Domain.index Domain.Integer) > 0.0)
 
+(* The standard probe set, in [Dag.path_signatures] order: full speed,
+   everything 4x slower, then each domain 4x slower alone. *)
+let standard_probes =
+  (fun (_ : Domain.t) -> 1.0)
+  :: (fun (_ : Domain.t) -> 4.0)
+  :: List.map (fun d other -> if other = d then 4.0 else 1.0) Domain.all
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* The fused DP equals one single-probe walk per probe, bit for bit, and
+   the critical-path length is the sum of the full-speed probe. *)
+let path_signatures_exact dag =
+  let seg = Dag.path_signatures dag in
+  List.length seg.Path_model.signatures = List.length standard_probes
+  && List.for_all2
+       (fun signature slow ->
+         bits signature = bits (Dag.longest_path_signature dag ~slow))
+       seg.Path_model.signatures standard_probes
+  && Int64.bits_of_float seg.Path_model.base_ps
+     = Int64.bits_of_float
+         (Array.fold_left ( +. ) 0.0 (List.hd seg.Path_model.signatures))
+
 let test_dag_path_signatures_probe_set () =
   let dag = Dag.build (chain_events 10) in
   let seg = Dag.path_signatures dag in
   Alcotest.(check bool) "base positive" true (seg.Path_model.base_ps > 0.0);
-  Alcotest.(check bool) "several probes" true
-    (List.length seg.Path_model.signatures >= 4)
+  Alcotest.(check int) "six probes" 6 (List.length seg.Path_model.signatures);
+  List.iteri
+    (fun i (signature, slow) ->
+      Alcotest.(check (array int64))
+        (Printf.sprintf "probe %d bit-equal to its own walk" i)
+        (bits (Dag.longest_path_signature dag ~slow))
+        (bits signature))
+    (List.combine seg.Path_model.signatures standard_probes);
+  Alcotest.(check int64) "base_ps is the sum of probe 0"
+    (Int64.bits_of_float
+       (Array.fold_left ( +. ) 0.0 (List.hd seg.Path_model.signatures)))
+    (Int64.bits_of_float seg.Path_model.base_ps);
+  Alcotest.(check bool) "empty dag" true (path_signatures_exact (Dag.build [||]))
 
 (* --- Shaker ----------------------------------------------------------- *)
 
@@ -132,8 +165,7 @@ let test_shaker_no_slack_no_stretch () =
     Array.fold_left (fun acc h -> acc +. Histogram.total h) 0.0 r.Shaker.histograms
   in
   let expected =
-    Array.fold_left (fun acc (e : Dag.event) -> acc +. (e.Dag.duration /. 1000.0))
-      0.0 dag.Dag.events
+    Array.fold_left (fun acc d -> acc +. (d /. 1000.0)) 0.0 dag.Dag.dur
   in
   check_float "work conserved" expected total
 
@@ -942,11 +974,19 @@ let prop_shaker_conserves_work =
           r.Shaker.histograms
       in
       let expected =
-        Array.fold_left
-          (fun acc (e : Dag.event) -> acc +. (e.Dag.duration /. 1000.0))
-          0.0 dag.Dag.events
+        Array.fold_left (fun acc d -> acc +. (d /. 1000.0)) 0.0 dag.Dag.dur
       in
       Float.abs (total -. expected) < 1e-3)
+
+let prop_path_signatures_fused_exact =
+  QCheck.Test.make ~name:"fused path DP equals per-probe walks bit for bit"
+    ~count:40
+    QCheck.(
+      triple (int_range 1 60) (int_range 0 6)
+        (make ~print:Domain.name (Gen.oneofl Domain.all)))
+    (fun (n, gap, domain) ->
+      path_signatures_exact
+        (Dag.build (chain_events ~domain ~gap_cycles:gap n)))
 
 let suite =
   [
@@ -1003,6 +1043,7 @@ let suite =
     ("call tree dot export", `Quick, test_call_tree_dot);
     qcheck prop_threshold_choice_meets_budget;
     qcheck prop_shaker_conserves_work;
+    qcheck prop_path_signatures_fused_exact;
     qcheck prop_refine_never_lowers;
     qcheck prop_editor_reconfigs_balanced;
   ]

@@ -242,6 +242,35 @@ let test_golden_cycle_exact () =
     ~instructions:160_000 ~cycles:300_411 ~sync_crossings:390_521
     ~sync_penalties:229_200 ~reconfigurations:18
 
+(* Byte-level goldens of the analysis kernels (DAG build, shaker, path
+   signatures): an oracle analysis of adpcm decode's reference window
+   and two L+F training plans, pinned by the MD5 of their serialized
+   forms. Any change to a kernel's float operations or their order
+   moves these digests. *)
+let test_golden_analysis_digests () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let adpcm = Suite.by_name "adpcm decode" in
+  let oracle =
+    Mcd_core.Oracle.analyze ~program:adpcm.Workload.program
+      ~input:adpcm.Workload.reference
+      ~trace_insts:(adpcm.Workload.ref_offset + adpcm.Workload.ref_window)
+      ~config:Mcd_cpu.Config.alpha21264_like ()
+  in
+  Alcotest.(check string) "adpcm decode oracle analysis"
+    "b542c492777dfc8803a2083b03329442"
+    (md5 (Mcd_core.Oracle.encode_analysis oracle));
+  List.iter
+    (fun (name, digest) ->
+      let plan =
+        Runner.plan_for (Suite.by_name name) ~context:Context.lf ~train:`Train
+      in
+      Alcotest.(check string) (name ^ " L+F plan") digest
+        (md5 (Mcd_core.Plan_io.to_string plan)))
+    [
+      ("adpcm decode", "2bfd1758d124a3fe165a260635bece4f");
+      ("applu", "19be8b461775befaf994cc8bad5daa17");
+    ]
+
 (* The parallel runner must be invisible in the output: running the same
    experiment sequentially and with four domains has to produce
    byte-identical tables (order-preserving map + deterministic
@@ -403,6 +432,7 @@ let suite =
     ("sweep monotone savings", `Slow, test_sweep_monotone_savings);
     ("tables render", `Quick, test_tables_render);
     ("golden cycle-exact metrics", `Slow, test_golden_cycle_exact);
+    ("golden analysis digests", `Slow, test_golden_analysis_digests);
     ("parallel runs deterministic", `Slow, test_parallel_runs_deterministic);
     ( "policy keys pairwise distinct",
       `Quick,

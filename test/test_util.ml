@@ -236,6 +236,7 @@ let test_vec_iter_fold () =
   Alcotest.(check (list (pair int int))) "iteri order" [ (0, 1); (1, 2); (2, 3) ]
     (List.rev !order);
   Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] (Vec.to_list v);
+  Alcotest.(check (array int)) "to_array" [| 1; 2; 3 |] (Vec.to_array v);
   Vec.clear v;
   Alcotest.(check int) "clear" 0 (Vec.length v)
 

@@ -21,11 +21,6 @@ module Sweep = Mcd_experiments.Sweep
 module Tables = Mcd_experiments.Tables
 module Ablations = Mcd_experiments.Ablations
 
-(* Monotonic wall clock (CLOCK_MONOTONIC, ns). [Unix.gettimeofday] is
-   subject to NTP steps, which would corrupt the wall-clock numbers
-   recorded into the BENCH JSON artifact. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
 let quick_suite () =
   List.map Suite.by_name
     [ "adpcm decode"; "gsm encode"; "mpeg2 decode"; "mcf"; "applu" ]
@@ -438,9 +433,9 @@ let trace_suite ~quick ~dir =
     (fun w ->
       let name = w.Mcd_workloads.Workload.name in
       let sink = Mcd_obs.Sink.create ~domains:Mcd_domains.Domain.count () in
-      let t0 = now_s () in
+      let t0 = Mcd_util.Time.now_s () in
       let _run = Runner.observed_run ~sink w in
-      let dt = now_s () -. t0 in
+      let dt = Mcd_util.Time.now_s () -. t0 in
       let sub = Filename.concat dir (sanitize_name name) in
       ignore (Mcd_obs.Export.write_dir ~domain_names ~dir:sub sink : string list);
       Printf.printf "traced %-16s -> %s (%.1fs, %d samples, %d events)\n%!"
@@ -486,13 +481,13 @@ let run_experiments only quick list_only micro jobs json_path trace_dir
             ids
     in
     let run_pass ~tag =
-      let t_start = now_s () in
+      let t_start = Mcd_util.Time.now_s () in
       let results =
         List.map
           (fun e ->
-            let t0 = now_s () in
+            let t0 = Mcd_util.Time.now_s () in
             let out = e.run ~quick in
-            let dt = now_s () -. t0 in
+            let dt = Mcd_util.Time.now_s () -. t0 in
             (match tag with
             | Some t -> Printf.printf "=== %s %s: %.1fs\n%!" t e.id dt
             | None ->
@@ -500,7 +495,7 @@ let run_experiments only quick list_only micro jobs json_path trace_dir
             (e.id, dt, out))
           selected
       in
-      (results, now_s () -. t_start)
+      (results, Mcd_util.Time.now_s () -. t_start)
     in
     (* Under --sample, run an exact cold pass first: its headline rows
        are the reference the sampled rows are drifted against, and its

@@ -1,88 +1,232 @@
 module Error = Mcd_robust.Error
 
-type t = {
-  socket : string;
-  fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  version : int;
-  workers : int;
-  queue_max : int;
-}
+type ticket = { id : int; digest : string; coalesced : bool }
 
-let version t = t.version
-let workers t = t.workers
-let queue_max t = t.queue_max
+(* --- what each command accepts as its answer ----------------------------- *)
 
-let transport_error t message =
-  Error.Server_unavailable { socket = t.socket; message }
+let queued (f : Protocol.Frames.frame) =
+  match f.reply with
+  | Protocol.Queued_reply { id; digest; coalesced } ->
+      Some { id; digest; coalesced }
+  | _ -> None
 
-let ( let* ) = Result.bind
+let job_state (f : Protocol.Frames.frame) =
+  match f.reply with
+  | Protocol.Status_reply { state; _ } -> Some state
+  | _ -> None
 
-(* --- wire primitives --------------------------------------------------- *)
+(* Frames hands payload-carrying replies their body as [Some _]. *)
+let payload (f : Protocol.Frames.frame) =
+  match f.reply with Protocol.Payload _ -> f.body | _ -> None
 
-let read_reply_line socket ic =
-  match input_line ic with
-  | line -> (
-      match Protocol.parse_reply line with
-      (* one command in flight at a time, so seq tags never appear *)
-      | Ok (reply, _seq) -> Ok reply
-      | Result.Error reason -> Result.Error (Error.Protocol_violation { line; reason }))
-  | exception (End_of_file | Sys_error _) ->
-      Result.Error
-        (Error.Server_unavailable
-           { socket; message = "connection closed by server" })
+let stats_body (f : Protocol.Frames.frame) =
+  match f.reply with Protocol.Stats_payload _ -> f.body | _ -> None
 
-let roundtrip t cmd =
-  match
-    output_string t.oc (Protocol.render_command cmd ^ "\n");
-    flush t.oc
-  with
-  | () -> read_reply_line t.socket t.ic
-  | exception Sys_error _ ->
-      Result.Error (transport_error t "connection closed by server")
+let pong (f : Protocol.Frames.frame) =
+  match f.reply with Protocol.Pong -> Some () | _ -> None
 
-(* After a [Payload]/[Stats_payload] header: exactly [bytes] bytes of
-   body, then the ["end"] trailer line. *)
-let read_body t bytes =
-  match
-    let buf = Bytes.create bytes in
-    really_input t.ic buf 0 bytes;
-    (Bytes.unsafe_to_string buf, input_line t.ic)
-  with
-  | body, "end" -> Ok body
-  | _, trailer ->
-      Result.Error
-        (Error.Protocol_violation
-           { line = trailer; reason = "expected payload trailer \"end\"" })
-  | exception (End_of_file | Sys_error _) ->
-      Result.Error (transport_error t "connection closed mid-payload")
+let draining (f : Protocol.Frames.frame) =
+  match f.reply with Protocol.Draining_reply -> Some () | _ -> None
 
-let unexpected reply reason =
-  Result.Error
-    (Error.Protocol_violation { line = Protocol.render_reply reply; reason })
+let greeting (f : Protocol.Frames.frame) =
+  match f.reply with
+  | Protocol.Ready { version; workers; queue_max } ->
+      Some (version, workers, queue_max)
+  | _ -> None
 
-(* --- connection lifecycle ---------------------------------------------- *)
+(* --- the connection state machine ---------------------------------------- *)
 
-let connect ~socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | exception Unix.Unix_error (e, _, _) ->
+module Pipeline = struct
+  (* Non-blocking socket + seq-tagged commands + the shared incremental
+     frame decoder. Every command in flight is one continuation keyed by
+     the seq of the command whose answer it is waiting for; the
+     greeting, the only reply without a seq, waits under key 0. A
+     request is a chain of such commands:
+
+       submit --queued--> wait --terminal status--> result --payload--> k
+
+     The server answers waits in completion order, so frames for
+     different requests interleave arbitrarily; the seq tag routes each
+     one. Callbacks fire inside {!pump}, on the caller's thread. *)
+
+  type t = {
+    socket : string;
+    fd : Unix.file_descr;
+    frames : Protocol.Frames.t;
+    out : Evloop.Outbuf.t;
+    buf : Bytes.t;
+    pending : (int, (Protocol.Frames.frame, Error.t) result -> unit) Hashtbl.t;
+    mutable next_seq : int;
+    mutable failed : Error.t option;
+    mutable version : int;
+    mutable workers : int;
+    mutable queue_max : int;
+  }
+
+  let version t = t.version
+  let workers t = t.workers
+  let queue_max t = t.queue_max
+  let fd t = t.fd
+  let in_flight t = Hashtbl.length t.pending
+  let has_output t = not (Evloop.Outbuf.is_empty t.out)
+
+  (* Terminal transport/framing failure: every command in flight is
+     answered with the error, and the connection refuses further use. *)
+  let fail t e =
+    if t.failed = None then begin
+      t.failed <- Some e;
+      let ks = Hashtbl.fold (fun _ k acc -> k :: acc) t.pending [] in
+      Hashtbl.reset t.pending;
+      List.iter (fun k -> k (Result.Error e)) ks
+    end;
+    Result.Error e
+
+  let transport_lost t =
+    fail t
+      (Error.Server_unavailable
+         { socket = t.socket; message = "connection closed by server" })
+
+  let violation t reply reason =
+    fail t
+      (Error.Protocol_violation { line = Protocol.render_reply reply; reason })
+
+  (* Register the continuation for the reply tagged [seq]. A rejection
+     is the command's typed answer; any other reply [decode] does not
+     accept has desynchronized the stream and fails the connection. *)
+  let expect t seq ~what decode k =
+    Hashtbl.replace t.pending seq (function
+      | Result.Error e -> k (Result.Error e)
+      | Ok (f : Protocol.Frames.frame) -> (
+          match f.reply with
+          | Protocol.Rejected r -> k (Result.Error (Protocol.error_of_reject r))
+          | reply -> (
+              match decode f with
+              | Some v -> k (Ok v)
+              | None -> k (violation t reply ("expected " ^ what)))))
+
+  (* One seq-tagged command; [k] fires exactly once with its answer. *)
+  let command t cmd ~what decode k =
+    match t.failed with
+    | Some e -> k (Result.Error e)
+    | None ->
+        let seq = t.next_seq in
+        t.next_seq <- seq + 1;
+        expect t seq ~what decode k;
+        Evloop.Outbuf.add t.out (Protocol.render_command ~seq cmd ^ "\n")
+
+  (* One decoded frame: route it by seq to the continuation waiting on it. *)
+  let dispatch t (f : Protocol.Frames.frame) =
+    let seq = Option.value ~default:0 f.seq in
+    match Hashtbl.find_opt t.pending seq with
+    | None -> ignore (violation t f.reply "reply for no pending command")
+    | Some k ->
+        Hashtbl.remove t.pending seq;
+        k (Ok f)
+
+  let rec drain_frames t =
+    if t.failed <> None then ()
+    else
+      match Protocol.Frames.next t.frames with
+      | `Await -> ()
+      | `Error reason ->
+          ignore
+            (fail t (Error.Protocol_violation { line = "<stream>"; reason }))
+      | `Frame f ->
+          dispatch t f;
+          drain_frames t
+
+  let read_ready t =
+    let rec go () =
+      if t.failed <> None then ()
+      else
+        match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
+        | 0 -> ignore (transport_lost t)
+        | n ->
+            Protocol.Frames.feed t.frames (Bytes.sub_string t.buf 0 n);
+            drain_frames t;
+            go ()
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error (_, _, _) -> ignore (transport_lost t)
+    in
+    go ()
+
+  let flush_out t =
+    match Evloop.Outbuf.flush t.out t.fd with
+    | `All | `Partial -> Ok ()
+    | `Closed -> transport_lost t
+
+  let pump ?(timeout_ms = 0) t =
+    match t.failed with
+    | Some e -> Result.Error e
+    | None -> (
+        match flush_out t with
+        | Result.Error _ as e -> e
+        | Ok () -> (
+            match
+              Evloop.wait_fd t.fd ~read:true ~write:(has_output t) ~timeout_ms
+            with
+            | None -> Ok ()
+            | Some ev ->
+                if ev.readable then read_ready t;
+                (match t.failed with
+                | Some e -> Result.Error e
+                | None -> if ev.writable then flush_out t else Ok ())))
+
+  (* The blocking shape of a command: start it, then pump until its
+     continuation fires. A terminal [pump] error has already answered
+     every continuation, so the default is never taken. *)
+  let await t start =
+    let answer = ref None in
+    start (fun r -> answer := Some r);
+    let rec go () =
+      match !answer with
+      | Some r -> r
+      | None -> (
+          match pump ~timeout_ms:(-1) t with
+          | Ok () -> go ()
+          | Result.Error e -> Option.value !answer ~default:(Result.Error e))
+    in
+    go ()
+
+  let connect ?max_payload ~socket () =
+    (* A daemon that hangs up must surface as a typed transport error
+       from the write that finds it gone (EPIPE), not as a SIGPIPE
+       that kills the process — the same disposition [Server.run] takes. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ());
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let give_up e =
       (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-      Result.Error
-        (Error.Server_unavailable { socket; message = Unix.error_message e })
-  | () -> (
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let fail e =
-        (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-        Result.Error e
-      in
-      match read_reply_line socket ic with
-      | Result.Error e -> fail e
-      | Ok (Protocol.Ready { version; workers; queue_max }) ->
-          if version <> Protocol.version then
-            fail
+      Result.Error e
+    in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | exception Unix.Unix_error (e, _, _) ->
+        give_up
+          (Error.Server_unavailable { socket; message = Unix.error_message e })
+    | () -> (
+        Unix.set_nonblock fd;
+        let t =
+          {
+            socket;
+            fd;
+            frames = Protocol.Frames.create ?max_payload ();
+            out = Evloop.Outbuf.create ();
+            buf = Bytes.create 65536;
+            pending = Hashtbl.create 64;
+            next_seq = 1;
+            failed = None;
+            version = 0;
+            workers = 0;
+            queue_max = 0;
+          }
+        in
+        match await t (expect t 0 ~what:"greeting" greeting) with
+        | Result.Error e -> give_up e
+        | Ok (version, _, _) when version <> Protocol.version ->
+            give_up
               (Error.Protocol_violation
                  {
                    line = Printf.sprintf "mcd-serve/%d" version;
@@ -90,77 +234,62 @@ let connect ~socket =
                      Printf.sprintf "unsupported protocol version (want %d)"
                        Protocol.version;
                  })
-          else Ok { socket; fd; ic; oc; version; workers; queue_max }
-      | Ok reply -> fail (Result.get_error (unexpected reply "expected greeting")))
+        | Ok (version, workers, queue_max) ->
+            t.version <- version;
+            t.workers <- workers;
+            t.queue_max <- queue_max;
+            Ok t)
 
-let close t =
-  (try
-     output_string t.oc (Protocol.render_command Protocol.Quit ^ "\n");
-     flush t.oc
-   with Sys_error _ -> ());
-  try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
+  let close t =
+    (match t.failed with
+    | Some _ -> ()
+    | None ->
+        Evloop.Outbuf.add t.out (Protocol.render_command Protocol.Quit ^ "\n");
+        ignore (flush_out t);
+        t.failed <-
+          Some
+            (Error.Server_unavailable
+               { socket = t.socket; message = "connection closed locally" }));
+    try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
 
-(* --- commands ----------------------------------------------------------- *)
+  let submit ~priority t request k =
+    command t (Protocol.Submit { priority; request }) ~what:"queued" queued k
 
-let ping t =
-  let* reply = roundtrip t Protocol.Ping in
-  match reply with
-  | Protocol.Pong -> Ok ()
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply "expected pong"
+  let run ?(priority = Protocol.Normal) t request ~k =
+    submit ~priority t request (function
+      | Result.Error e -> k (Result.Error e)
+      | Ok { id; _ } ->
+          command t (Protocol.Wait id) ~what:"status" job_state (function
+            | Result.Error e -> k (Result.Error e)
+            (* terminal either way: [result] answers with the payload
+               or the job's typed failure *)
+            | Ok _ -> command t (Protocol.Result id) ~what:"payload" payload k))
+end
 
-type ticket = { id : int; digest : string; coalesced : bool }
+(* --- blocking calls: one pumped command each ----------------------------- *)
+
+type t = Pipeline.t
+
+let connect ~socket = Pipeline.connect ~socket ()
+let close = Pipeline.close
+let version = Pipeline.version
+let workers = Pipeline.workers
+let queue_max = Pipeline.queue_max
+let call t cmd ~what decode = Pipeline.(await t (command t cmd ~what decode))
+let ping t = call t Protocol.Ping ~what:"pong" pong
 
 let submit ?(priority = Protocol.Normal) t request =
-  let* reply = roundtrip t (Protocol.Submit { priority; request }) in
-  match reply with
-  | Protocol.Queued_reply { id; digest; coalesced } ->
-      Ok { id; digest; coalesced }
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply "expected queued"
+  Pipeline.(await t (submit ~priority t request))
 
-let state_of_reply ~verb reply =
-  match reply with
-  | Protocol.Status_reply { state; _ } -> Ok state
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply (Printf.sprintf "expected status for %s" verb)
-
-let status t id =
-  let* reply = roundtrip t (Protocol.Status id) in
-  state_of_reply ~verb:"status" reply
-
-let wait t id =
-  let* reply = roundtrip t (Protocol.Wait id) in
-  state_of_reply ~verb:"wait" reply
-
-let result t id =
-  let* reply = roundtrip t (Protocol.Result id) in
-  match reply with
-  | Protocol.Payload { bytes; _ } -> read_body t bytes
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply "expected payload"
+let status t id = call t (Protocol.Status id) ~what:"status" job_state
+let wait t id = call t (Protocol.Wait id) ~what:"status" job_state
+let result t id = call t (Protocol.Result id) ~what:"payload" payload
 
 let run ?priority t request =
-  let* ticket = submit ?priority t request in
-  (* wait parks until the job is terminal; result then carries either
-     the payload or the job's typed failure ([Job_failed], or
-     [Deadline] for a watchdog kill) *)
-  let* (_ : Protocol.state) = wait t ticket.id in
-  result t ticket.id
+  Pipeline.(await t (fun k -> run ?priority t request ~k))
 
-let stats t =
-  let* reply = roundtrip t Protocol.Stats in
-  match reply with
-  | Protocol.Stats_payload { bytes } -> read_body t bytes
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply "expected stats-payload"
-
-let drain t =
-  let* reply = roundtrip t Protocol.Drain in
-  match reply with
-  | Protocol.Draining_reply -> Ok ()
-  | Protocol.Rejected r -> Result.Error (Protocol.error_of_reject r)
-  | reply -> unexpected reply "expected draining"
+let stats t = call t Protocol.Stats ~what:"stats-payload" stats_body
+let drain t = call t Protocol.Drain ~what:"draining" draining
 
 (* --- retry layer -------------------------------------------------------- *)
 
@@ -269,241 +398,3 @@ let run_with_retry ?priority ?(policy = default_policy) ~socket request =
         e
   in
   go 0
-
-(* --- pipelined connections ---------------------------------------------- *)
-
-module Pipeline = struct
-  (* Non-blocking socket + seq-tagged commands + the shared incremental
-     frame decoder. Each logical request is a tiny state machine keyed
-     by the seq of the command whose answer it is waiting for:
-
-       Submitting --queued--> Waiting --terminal status--> Fetching
-                                                  --payload/reject--> k
-
-     The server answers waits in completion order, so frames for
-     different requests interleave arbitrarily; the seq tag routes each
-     one. Callbacks fire inside {!pump}, on the caller's thread. *)
-
-  type phase =
-    | Submitting
-    | Waiting of int
-    | Fetching of int
-
-  type pending = { phase : phase; k : (string, Error.t) result -> unit }
-
-  type t = {
-    socket : string;
-    fd : Unix.file_descr;
-    frames : Protocol.Frames.t;
-    out : Evloop.Outbuf.t;
-    buf : Bytes.t;
-    pending : (int, pending) Hashtbl.t;
-    mutable next_seq : int;
-    mutable failed : Error.t option;
-    version : int;
-    workers : int;
-    queue_max : int;
-  }
-
-  let version t = t.version
-  let workers t = t.workers
-  let queue_max t = t.queue_max
-  let fd t = t.fd
-  let in_flight t = Hashtbl.length t.pending
-  let has_output t = not (Evloop.Outbuf.is_empty t.out)
-
-  (* Terminal transport/framing failure: every in-flight request is
-     answered with the error, and the connection refuses further use. *)
-  let fail t e =
-    if t.failed = None then begin
-      t.failed <- Some e;
-      let ks = Hashtbl.fold (fun _ p acc -> p.k :: acc) t.pending [] in
-      Hashtbl.reset t.pending;
-      List.iter (fun k -> k (Result.Error e)) ks
-    end;
-    Result.Error e
-
-  let transport_lost t =
-    fail t
-      (Error.Server_unavailable
-         { socket = t.socket; message = "connection closed by server" })
-
-  let connect ?max_payload ~socket () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-        Result.Error
-          (Error.Server_unavailable { socket; message = Unix.error_message e })
-    | () -> (
-        (* Consume the greeting with the same decoder the pipelined
-           path uses — blocking reads until one frame lands. *)
-        let frames = Protocol.Frames.create ?max_payload () in
-        let buf = Bytes.create 65536 in
-        let give_up e =
-          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-          Result.Error e
-        in
-        let rec greeting () =
-          match Protocol.Frames.next frames with
-          | `Frame f -> Ok f
-          | `Error reason ->
-              Result.Error (Error.Protocol_violation { line = "<greeting>"; reason })
-          | `Await -> (
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 ->
-                  Result.Error
-                    (Error.Server_unavailable
-                       { socket; message = "connection closed by server" })
-              | n ->
-                  Protocol.Frames.feed frames (Bytes.sub_string buf 0 n);
-                  greeting ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> greeting ()
-              | exception Unix.Unix_error (e, _, _) ->
-                  Result.Error
-                    (Error.Server_unavailable
-                       { socket; message = Unix.error_message e }))
-        in
-        match greeting () with
-        | Result.Error e -> give_up e
-        | Ok { Protocol.Frames.reply = Protocol.Ready { version; workers; queue_max }; _ }
-          ->
-            if version <> Protocol.version then
-              give_up
-                (Error.Protocol_violation
-                   {
-                     line = Printf.sprintf "mcd-serve/%d" version;
-                     reason =
-                       Printf.sprintf "unsupported protocol version (want %d)"
-                         Protocol.version;
-                   })
-            else begin
-              Unix.set_nonblock fd;
-              Ok
-                {
-                  socket;
-                  fd;
-                  frames;
-                  out = Evloop.Outbuf.create ();
-                  buf;
-                  pending = Hashtbl.create 64;
-                  next_seq = 1;
-                  failed = None;
-                  version;
-                  workers;
-                  queue_max;
-                }
-            end
-        | Ok { Protocol.Frames.reply; _ } ->
-            give_up
-              (Error.Protocol_violation
-                 {
-                   line = Protocol.render_reply reply;
-                   reason = "expected greeting";
-                 }))
-
-  let send_cmd t phase k cmd =
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    Hashtbl.replace t.pending seq { phase; k };
-    Evloop.Outbuf.add t.out (Protocol.render_command ~seq cmd ^ "\n")
-
-  let run ?(priority = Protocol.Normal) t request ~k =
-    match t.failed with
-    | Some e -> k (Result.Error e)
-    | None -> send_cmd t Submitting k (Protocol.Submit { priority; request })
-
-  let protocol_violation t reply reason =
-    ignore
-      (fail t
-         (Error.Protocol_violation
-            { line = Protocol.render_reply reply; reason }))
-
-  (* One decoded frame: route by seq, advance that request's phase. *)
-  let dispatch t (f : Protocol.Frames.frame) =
-    match f.seq with
-    | None -> protocol_violation t f.reply "unsolicited reply (no seq)"
-    | Some seq -> (
-        match Hashtbl.find_opt t.pending seq with
-        | None -> protocol_violation t f.reply "reply for unknown seq"
-        | Some info -> (
-            Hashtbl.remove t.pending seq;
-            match (info.phase, f.reply) with
-            | Submitting, Protocol.Queued_reply { id; _ } ->
-                send_cmd t (Waiting id) info.k (Protocol.Wait id)
-            | Waiting id, Protocol.Status_reply _ ->
-                (* terminal either way: [result] returns the payload or
-                   the job's typed failure, same as the blocking path *)
-                send_cmd t (Fetching id) info.k (Protocol.Result id)
-            | Fetching _, Protocol.Payload _ ->
-                info.k (Ok (Option.value ~default:"" f.body))
-            | _, Protocol.Rejected r ->
-                info.k (Result.Error (Protocol.error_of_reject r))
-            | _, reply ->
-                Hashtbl.replace t.pending seq info;
-                protocol_violation t reply "reply does not match request phase"))
-
-  let rec drain_frames t =
-    if t.failed <> None then ()
-    else
-      match Protocol.Frames.next t.frames with
-      | `Await -> ()
-      | `Error reason ->
-          ignore
-            (fail t (Error.Protocol_violation { line = "<stream>"; reason }))
-      | `Frame f ->
-          dispatch t f;
-          drain_frames t
-
-  let read_ready t =
-    let rec go () =
-      if t.failed <> None then ()
-      else
-        match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-        | 0 -> ignore (transport_lost t)
-        | n ->
-            Protocol.Frames.feed t.frames (Bytes.sub_string t.buf 0 n);
-            drain_frames t;
-            go ()
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception Unix.Unix_error (_, _, _) -> ignore (transport_lost t)
-    in
-    go ()
-
-  let flush_out t =
-    match Evloop.Outbuf.flush t.out t.fd with
-    | `All | `Partial -> Ok ()
-    | `Closed -> transport_lost t
-
-  let pump ?(timeout_ms = 0) t =
-    match t.failed with
-    | Some e -> Result.Error e
-    | None -> (
-        match flush_out t with
-        | Result.Error _ as e -> e
-        | Ok () -> (
-            match
-              Evloop.wait_fd t.fd ~read:true ~write:(has_output t) ~timeout_ms
-            with
-            | None -> Ok ()
-            | Some ev ->
-                if ev.readable then read_ready t;
-                (match t.failed with
-                | Some e -> Result.Error e
-                | None -> if ev.writable then flush_out t else Ok ())))
-
-  let close t =
-    (match t.failed with
-    | Some _ -> ()
-    | None ->
-        Evloop.Outbuf.add t.out (Protocol.render_command Protocol.Quit ^ "\n");
-        ignore (flush_out t);
-        t.failed <-
-          Some
-            (Error.Server_unavailable
-               { socket = t.socket; message = "connection closed locally" }));
-    try Unix.close t.fd with Unix.Unix_error (_, _, _) -> ()
-end

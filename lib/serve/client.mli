@@ -1,18 +1,26 @@
-(** Blocking synchronous client for the experiment daemon.
+(** Client for the experiment daemon.
 
-    One connection, one outstanding command at a time — exactly the
-    shape the CLI subcommands and the smoke harness need. Each call
-    maps a {!Protocol} exchange to a typed result; server-side
-    rejections come back as the corresponding {!Mcd_robust.Error.t}
-    (so [Overloaded] carries its retry-after hint and exits with the
-    overload code), transport failures as [Server_unavailable]. *)
+    One protocol state machine, {!Pipeline}: a non-blocking connection
+    on which every command carries a [seq] tag and waits as a
+    continuation for the reply that echoes it. The blocking calls below
+    — the shape the CLI subcommands and the smoke harness
+    ([tools/harness.ml]) need — are each one such command, pumped until
+    its reply arrives. Each call maps a {!Protocol} exchange to a typed
+    result; server-side rejections come back as the corresponding
+    {!Mcd_robust.Error.t} (so [Overloaded] carries its retry-after hint
+    and exits with the overload code), transport failures as
+    [Server_unavailable], and a malformed or oversized frame as
+    [Protocol_violation]. Connecting ignores SIGPIPE process-wide, so a
+    daemon that hangs up surfaces as [Server_unavailable], never as a
+    fatal signal. *)
 
 type t
 
 val connect : socket:string -> (t, Mcd_robust.Error.t) result
-(** Connect and consume the greeting. [Server_unavailable] when nothing
-    listens; [Protocol_violation] when the peer speaks something other
-    than protocol version {!Protocol.version}. *)
+(** Connect and consume the greeting ({!Pipeline.connect}).
+    [Server_unavailable] when nothing listens; [Protocol_violation]
+    when the peer speaks something other than protocol version
+    {!Protocol.version}. *)
 
 val close : t -> unit
 (** Sends [quit] (best effort) and closes the connection. *)
@@ -112,10 +120,11 @@ val run_with_retry :
     [seq] tag; the server echoes it on the answering reply — including
     [wait] answers deferred until the job turns terminal — so replies
     for different requests interleave in completion order and are
-    routed back by tag. Each {!Pipeline.run} walks the same
-    submit → wait → result exchange as the blocking {!run}, one
-    round-trip per phase but overlapped across requests, which is
-    where the pipelined throughput multiple comes from.
+    routed back by tag. Each {!Pipeline.run} chains the
+    submit → wait → result commands, one round-trip per phase but
+    overlapped across requests, which is where the pipelined
+    throughput multiple comes from; the blocking {!run} is one
+    {!Pipeline.run} pumped to completion.
 
     The connection is non-blocking and single-threaded: callbacks fire
     inside {!Pipeline.pump} on the caller's thread. Drive many
@@ -126,8 +135,8 @@ module Pipeline : sig
 
   val connect :
     ?max_payload:int -> socket:string -> unit -> (t, Mcd_robust.Error.t) result
-  (** Connect, consume the greeting, switch to non-blocking.
-      [max_payload] bounds any single reply body
+  (** Connect, switch to non-blocking, and pump until the greeting
+      arrives. [max_payload] bounds any single reply body
       (default {!Protocol.Frames.default_max_payload}). *)
 
   val close : t -> unit

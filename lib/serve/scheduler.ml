@@ -1,5 +1,6 @@
 module Metrics = Mcd_obs.Metrics
 module Sink = Mcd_obs.Sink
+module Time = Mcd_util.Time
 
 type state =
   | Queued
@@ -87,8 +88,8 @@ let info_of_job (j : job) =
     timed_out = j.timed_out;
   }
 
-(* Wall time since scheduler start, as the sink's picosecond axis. *)
-let now_ps t = int_of_float ((Unix.gettimeofday () -. t.started_s) *. 1e12)
+(* Monotonic time since scheduler start, as the sink's picosecond axis. *)
+let now_ps t = int_of_float ((Time.now_s () -. t.started_s) *. 1e12)
 
 let update_gauges t =
   Metrics.set t.g_depth (float_of_int (Jobq.length t.queue));
@@ -103,7 +104,7 @@ let rec take t =
     match Jobq.pop t.queue with
     | Some job ->
         job.state <- Running;
-        job.started_s <- Unix.gettimeofday ();
+        job.started_s <- Time.now_s ();
         t.busy <- t.busy + 1;
         update_gauges t;
         Some job
@@ -139,7 +140,7 @@ let run_one t (job : job) =
     false
   end
   else begin
-    job.latency_s <- Unix.gettimeofday () -. job.submitted_s;
+    job.latency_s <- Time.now_s () -. job.submitted_s;
     let ms = job.latency_s *. 1000.0 in
     Metrics.observe t.h_latency ~bin:(latency_bin_of_ms (int_of_float ms)) ~weight:1.0;
     t.latency_ewma_s <-
@@ -182,7 +183,7 @@ let rec worker_loop t =
    compute finally returns, run_one discards the result and retires it,
    shrinking the pool back to [n_workers]. *)
 let watchdog_tick t ~deadline_s =
-  let now = Unix.gettimeofday () in
+  let now = Time.now_s () in
   Mutex.lock t.mutex;
   let overdue = ref [] in
   Hashtbl.iter
@@ -255,7 +256,7 @@ let create ?(workers = 1) ?(queue_max = 64) ?(client_max = 16) ?deadline_s
       compute;
       on_complete;
       sink;
-      started_s = Unix.gettimeofday ();
+      started_s = Time.now_s ();
       n_workers = max 1 workers;
       deadline_s;
       retry_after_cap_ms = max 100 retry_after_cap_ms;
@@ -331,7 +332,7 @@ let submit t ~client ~priority ~digest request =
               client;
               state = Queued;
               submits = 1;
-              submitted_s = Unix.gettimeofday ();
+              submitted_s = Time.now_s ();
               latency_s = 0.0;
               started_s = 0.0;
               timed_out = false;
@@ -400,7 +401,7 @@ let restore t ~next_id (entries : Journal.entry list) =
               client = e.Journal.client;
               state = Queued;
               submits = 1;
-              submitted_s = Unix.gettimeofday ();
+              submitted_s = Time.now_s ();
               latency_s = 0.0;
               started_s = 0.0;
               timed_out = false;
@@ -457,10 +458,10 @@ let draining t = locked t (fun () -> t.draining)
 (* OCaml's Condition has no timed wait, and neither caller is hot:
    polling at a few hundred hertz is the simple correct watchdog. *)
 let poll_until ~timeout_s cond =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Time.now_s () +. timeout_s in
   let rec go () =
     if cond () then true
-    else if Unix.gettimeofday () > deadline then cond ()
+    else if Time.now_s () > deadline then cond ()
     else begin
       Unix.sleepf 0.005;
       go ()

@@ -1,6 +1,7 @@
 module Error = Mcd_robust.Error
 module Runner = Mcd_experiments.Runner
 module Metrics = Mcd_obs.Metrics
+module Time = Mcd_util.Time
 
 type config = {
   socket : string;
@@ -252,7 +253,7 @@ let mirror_journal_stats t =
 
 let begin_drain t =
   if t.drain_started = None then begin
-    t.drain_started <- Some (Unix.gettimeofday ());
+    t.drain_started <- Some (Time.now_s ());
     Scheduler.set_draining t.sched
   end
 
@@ -488,7 +489,7 @@ let drained t =
   match t.drain_started with
   | None -> false
   | Some started ->
-      let now = Unix.gettimeofday () in
+      let now = Time.now_s () in
       if now -. started > t.cfg.drain_deadline_s then true
       else if Scheduler.idle t.sched && quiescent t then begin
         (match t.idle_since with None -> t.idle_since <- Some now | Some _ -> ());
@@ -526,7 +527,7 @@ let loop_timeout_ms t =
   match t.drain_started with
   | None -> idle_backstop_ms
   | Some started ->
-      let now = Unix.gettimeofday () in
+      let now = Time.now_s () in
       let until_deadline = started +. t.cfg.drain_deadline_s -. now in
       let until_grace =
         match t.idle_since with
@@ -585,9 +586,9 @@ let serve_loop t ~digest =
     if Atomic.get stop_requested then begin_drain t;
     if drained t then ()
     else begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = Time.now_s () in
       let events = Evloop.wait (interests t) ~timeout_ms:(loop_timeout_ms t) in
-      let t1 = Unix.gettimeofday () in
+      let t1 = Time.now_s () in
       Metrics.observe t.lm.h_wait ~bin:(ms_bin (t1 -. t0)) ~weight:1.0;
       List.iter
         (fun (ev : Evloop.event) ->
@@ -606,7 +607,7 @@ let serve_loop t ~digest =
       answer_parked_waits t;
       flush_conns t;
       Metrics.observe t.lm.h_iter
-        ~bin:(ms_bin (Unix.gettimeofday () -. t1))
+        ~bin:(ms_bin (Time.now_s () -. t1))
         ~weight:1.0;
       loop ()
     end
@@ -631,11 +632,11 @@ let answer_parked_with_draining t =
 (* Best-effort exit flush: bounded, so a wedged peer cannot hold the
    shutdown hostage. *)
 let final_flush t =
-  let deadline = Unix.gettimeofday () +. 1.0 in
+  let deadline = Time.now_s () +. 1.0 in
   Hashtbl.iter
     (fun _ conn ->
       let rec go () =
-        if Unix.gettimeofday () < deadline then
+        if Time.now_s () < deadline then
           match Evloop.Outbuf.flush conn.out conn.fd with
           | `All | `Closed -> ()
           | `Partial ->

@@ -15,3 +15,5 @@ let pp fmt x =
   else if x < 10_000_000 then Format.fprintf fmt "%.2f ns" (fx /. 1e3)
   else if x < 10_000_000_000 then Format.fprintf fmt "%.2f us" (fx /. 1e6)
   else Format.fprintf fmt "%.3f ms" (fx /. 1e9)
+
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9

@@ -25,3 +25,11 @@ val to_s : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit. *)
+
+(** {2 Host time} *)
+
+val now_s : unit -> float
+(** Seconds on the host's CLOCK_MONOTONIC, from an arbitrary origin.
+    Unlike [Unix.gettimeofday] it never steps when the wall clock is
+    set, so differences of two reads are safe for deadlines, timeouts
+    and latencies. Host time, not simulated time. *)

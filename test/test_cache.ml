@@ -19,26 +19,6 @@ let qcheck ?(seed = 0xcac4e) t =
 
 (* --- temp stores ----------------------------------------------------- *)
 
-let dir_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
-let with_temp_store f =
-  incr dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-cache-test.%d.%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f (Store.create ~dir))
-
 let rec object_files path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->
@@ -152,7 +132,7 @@ let test_golden_key () =
 (* --- store ------------------------------------------------------------ *)
 
 let test_store_roundtrip () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   let key = Key.make ~kind:"test" ~parts:[ ("n", "1") ] in
   Alcotest.(check bool) "empty store misses" true (Store.find store key = None);
   Store.add store key "payload bytes\n";
@@ -164,7 +144,7 @@ let test_store_roundtrip () =
   Alcotest.(check int) "one miss" 1 s.Store.misses
 
 let test_store_corrupt_recomputes_and_heals () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   let key = Key.make ~kind:"test" ~parts:[ ("n", "2") ] in
   let calls = ref 0 in
   let compute () =
@@ -196,7 +176,7 @@ let test_store_detects_wrong_key () =
   (* An object whose embedded canonical key disagrees with the lookup
      key (digest collision, or a corrupted shard layout) must read as
      corrupt, not as a wrong answer. *)
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   let a = Key.make ~kind:"test" ~parts:[ ("n", "a") ] in
   let b = Key.make ~kind:"test" ~parts:[ ("n", "b") ] in
   Store.add store a "a's payload";
@@ -220,7 +200,7 @@ let test_store_detects_wrong_key () =
     (Store.find store a)
 
 let test_store_concurrent_writers () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   let key = Key.make ~kind:"test" ~parts:[ ("n", "parallel") ] in
   let payload = String.concat "," (List.init 100 string_of_int) in
   let worker () =
@@ -237,7 +217,7 @@ let test_store_concurrent_writers () =
     (Store.find store key)
 
 let test_store_gc () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   List.iter
     (fun i ->
       Store.add store
@@ -262,7 +242,7 @@ let test_store_gc () =
 (* --- Runner integration ----------------------------------------------- *)
 
 let test_runner_warm_results_byte_identical () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   Fun.protect
     ~finally:(fun () -> Store.set_default None)
     (fun () ->

@@ -27,10 +27,6 @@ let run_help args =
   | _ -> Alcotest.failf "%s --help failed" (String.concat " " args));
   Buffer.contents buf
 
-let contains haystack needle =
-  let h = String.length haystack and n = String.length needle in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 let subcommands =
   [
@@ -42,23 +38,24 @@ let test_help_names_every_subcommand () =
   let help = run_help [] in
   List.iter
     (fun sub ->
-      Alcotest.(check bool) ("help mentions " ^ sub) true (contains help sub))
+      Alcotest.(check bool) ("help mentions " ^ sub) true
+        (Helpers.contains ~needle:sub help))
     subcommands
 
 let test_exit_codes_documented_once () =
   let help = run_help [] in
   Alcotest.(check bool) "has EXIT STATUS section" true
-    (contains help "EXIT STATUS");
+    (Helpers.contains ~needle:"EXIT STATUS" help);
   List.iter
     (fun (code, hint) ->
       Alcotest.(check bool)
         (Printf.sprintf "documents exit %d" code)
         true
-        (contains help (string_of_int code))
+        (Helpers.contains ~needle:(string_of_int code) help)
         ;
       Alcotest.(check bool)
         (Printf.sprintf "exit %d names its meaning" code)
-        true (contains help hint))
+        true (Helpers.contains ~needle:hint help))
     [
       (0, "success");
       (1, "campaign");
@@ -70,23 +67,92 @@ let test_exit_codes_documented_once () =
      subcommand's help shows the identical overload wording *)
   let sub_help = run_help [ "submit" ] in
   Alcotest.(check bool) "subcommand inherits the table" true
-    (contains sub_help "overloaded")
+    (Helpers.contains ~needle:"overloaded" sub_help)
 
 let test_serve_help_documents_protocol_knobs () =
   let help = run_help [ "serve" ] in
   List.iter
     (fun flag ->
       Alcotest.(check bool) ("serve documents " ^ flag) true
-        (contains help flag))
+        (Helpers.contains ~needle:flag help))
     [
       "--workers"; "--queue-max"; "--client-max"; "--socket";
       "--no-journal"; "--deadline-ms"; "--retry-after-cap-ms";
       "--conn-inflight-max"; "--outbuf-max-bytes";
     ]
 
+(* A daemon that hangs up is an I/O failure (exit 3), never a death by
+   SIGPIPE (exit 141 in a shell). The scripted daemon greets, reads the
+   submit, shuts down its receiving side and only then answers queued,
+   so the CLI's next command (the wait) goes to a peer that can no
+   longer receive: EPIPE every time. *)
+let test_submit_exits_3_when_daemon_hangs_up () =
+  let module Protocol = Mcd_serve.Protocol in
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mcd-cli-hangup-%d.sock" (Unix.getpid ()))
+  in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listen_fd;
+      try Sys.remove socket with Sys_error _ -> ())
+  @@ fun () ->
+  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
+  Unix.listen listen_fd 1;
+  (* The CLI must start with SIGPIPE at its default disposition: an
+     ignored signal is inherited, and an earlier test may ignore it. *)
+  let pid =
+    let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigpipe previous;
+        Unix.close devnull)
+      (fun () ->
+        Unix.create_process cli_exe
+          [| cli_exe; "submit"; "--socket"; socket; "adpcm decode" |]
+          devnull devnull devnull)
+  in
+  let status () = snd (Unix.waitpid [] pid) in
+  (match Unix.select [ listen_fd ] [] [] 30.0 with
+  | [], _, _ ->
+      ignore (status ());
+      Alcotest.fail "the CLI never connected"
+  | _ -> ());
+  let fd, _ = Unix.accept listen_fd in
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let send ?seq reply =
+    output_string oc (Protocol.render_reply ?seq reply ^ "\n");
+    flush oc
+  in
+  send
+    (Protocol.Ready { version = Protocol.version; workers = 1; queue_max = 8 });
+  let seq =
+    match Protocol.parse_command (input_line ic) with
+    | Ok (Protocol.Submit _, seq) -> seq
+    | _ -> Alcotest.fail "the CLI did not open with a submit"
+  in
+  Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+  send ?seq (Protocol.Queued_reply { id = 1; digest = "d"; coalesced = false });
+  let status = status () in
+  Unix.close fd;
+  match status with
+  | Unix.WEXITED 3 -> ()
+  | Unix.WEXITED code -> Alcotest.failf "submit exited %d, want 3" code
+  | Unix.WSIGNALED s when s = Sys.sigpipe ->
+      Alcotest.fail "submit died by SIGPIPE (exit 141 in a shell), want exit 3"
+  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+      Alcotest.failf "submit killed by signal %d, want exit 3" s
+
 let suite =
   [
     ("help names every subcommand", `Quick, test_help_names_every_subcommand);
     ("exit codes documented", `Quick, test_exit_codes_documented_once);
     ("serve help documents knobs", `Quick, test_serve_help_documents_protocol_knobs);
+    ( "submit exits 3 when the daemon hangs up",
+      `Quick,
+      test_submit_exits_3_when_daemon_hangs_up );
   ]

@@ -386,11 +386,6 @@ let test_pipeline_mem_instructions_have_mem_events () =
           Alcotest.fail "non-memory class in mem stage")
     mem_events
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let test_pipeline_warmup_window () =
   let full = run_tiny ~trips:200 ~max_insts:8_000 () in
   let windowed = run_tiny ~trips:200 ~warmup_insts:2_000 ~max_insts:4_000 () in
@@ -409,7 +404,7 @@ let test_pipeline_warmup_window () =
 let test_config_table_renders () =
   let s = Format.asprintf "%a" Config.pp_table Config.alpha21264_like in
   Alcotest.(check bool) "mentions ROB" true
-    (String.length s > 200 && contains ~needle:"Reorder buffer" s)
+    (String.length s > 200 && Helpers.contains ~needle:"Reorder buffer" s)
 
 (* --- qcheck: pipeline invariants over random small programs ---------- *)
 

@@ -20,11 +20,6 @@ module Json = Mcd_obs.Json
 
 let w () = Suite.by_name "adpcm decode"
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let test_compare_runs () =
   let base = Runner.baseline (w ()) in
   let c = Runner.compare_runs ~baseline:base base in
@@ -140,7 +135,7 @@ let test_headline_row_sane () =
         < 10.0);
       let s = Headline.fig4 rows in
       Alcotest.(check bool) "fig4 mentions benchmark" true
-        (contains ~needle:"adpcm decode" s);
+        (Helpers.contains ~needle:"adpcm decode" s);
       Alcotest.(check bool) "fig5 renders" true
         (String.length (Headline.fig5 rows) > 0);
       Alcotest.(check bool) "fig6 renders" true
@@ -162,9 +157,11 @@ let test_context_rows_and_tables () =
         && r.Context_sense.overhead_pct < 50.0))
     rows;
   let t4 = Context_sense.table4 rows in
-  Alcotest.(check bool) "table4 renders" true (contains ~needle:"Table 4" t4);
+  Alcotest.(check bool) "table4 renders" true
+    (Helpers.contains ~needle:"Table 4" t4);
   let f12 = Context_sense.fig12 rows in
-  Alcotest.(check bool) "fig12 renders" true (contains ~needle:"Figure 12" f12)
+  Alcotest.(check bool) "fig12 renders" true
+    (Helpers.contains ~needle:"Figure 12" f12)
 
 let test_lf_overhead_below_lfcp () =
   let rows =
@@ -294,11 +291,14 @@ let test_parallel_runs_deterministic () =
 
 let test_tables_render () =
   let t1 = Tables.table1 () in
-  Alcotest.(check bool) "table1" true (contains ~needle:"Reorder buffer" t1);
+  Alcotest.(check bool) "table1" true
+    (Helpers.contains ~needle:"Reorder buffer" t1);
   let t2 = Tables.table2 () in
-  Alcotest.(check bool) "table2 lists suite" true (contains ~needle:"mcf" t2);
+  Alcotest.(check bool) "table2 lists suite" true
+    (Helpers.contains ~needle:"mcf" t2);
   let t3 = Tables.table3 ~workloads:[ w () ] () in
-  Alcotest.(check bool) "table3" true (contains ~needle:"cov long" t3)
+  Alcotest.(check bool) "table3" true
+    (Helpers.contains ~needle:"cov long" t3)
 
 (* --- the policy tournament -------------------------------------------- *)
 
@@ -324,14 +324,6 @@ let test_policy_keys_pairwise_distinct () =
         keys)
     keys
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
 (* Warm-run the tournament against a fresh store: the cold pass must
    write exactly one object per (policy, workload) plus the shared
    baseline with zero hits (nothing aliased, nothing served across
@@ -343,12 +335,12 @@ let test_tournament_warm_rerun_isolated () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "mcd-tournament-test.%d" (Unix.getpid ()))
   in
-  rm_rf dir;
+  Helpers.rm_rf dir;
   let store = Store.create ~dir in
   Fun.protect
     ~finally:(fun () ->
       Store.set_default None;
-      rm_rf dir)
+      Helpers.rm_rf dir)
     (fun () ->
       Store.set_default (Some store);
       Runner.clear_caches ();
@@ -397,7 +389,7 @@ let test_tournament_report_shape () =
       Alcotest.(check bool)
         (p.Policy.label ^ " in table")
         true
-        (contains ~needle:p.Policy.label rendered))
+        (Helpers.contains ~needle:p.Policy.label rendered))
     contenders;
   (* the JSON writer's output must parse back with the same shape *)
   match Json.of_string (Json.to_string (Tournament.to_json t)) with

@@ -31,13 +31,9 @@ let test_error_messages_name_the_site () =
       { where = "plan:12"; requested_mhz = 313; snapped_mhz = 300 }
   in
   let s = Error.to_string e in
-  let contains needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "names where" true (contains "plan:12" s);
-  Alcotest.(check bool) "names value" true (contains "313" s)
+  Alcotest.(check bool) "names where" true
+    (Helpers.contains ~needle:"plan:12" s);
+  Alcotest.(check bool) "names value" true (Helpers.contains ~needle:"313" s)
 
 (* --- Validate --------------------------------------------------------- *)
 

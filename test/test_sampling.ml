@@ -234,31 +234,11 @@ let prop_sampled_policy_drift =
 
 (* --- warm-path bugfix regressions ----------------------------------- *)
 
-let dir_counter = ref 0
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
-let with_temp_store f =
-  incr dir_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-sampling-test.%d.%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f (Store.create ~dir))
-
 (* A warm profile_run disk hit must not pay a profiler walk: the cached
    payload's plan is decoded lazily, and only forcing it rebuilds the
    training tree. *)
 let test_warm_profile_run_lazy_plan () =
-  with_temp_store @@ fun store ->
+  Helpers.with_temp_store @@ fun store ->
   Fun.protect
     ~finally:(fun () -> Store.set_default None)
     (fun () ->

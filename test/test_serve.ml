@@ -856,8 +856,8 @@ let test_retry_connection_management () =
   Unix.listen listen_fd 8;
   let accepts = Atomic.make 0 in
   let payload = "the-bytes" in
-  let send oc reply =
-    output_string oc (Protocol.render_reply reply ^ "\n");
+  let send ?seq oc reply =
+    output_string oc (Protocol.render_reply ?seq reply ^ "\n");
     flush oc
   in
   let greeting oc =
@@ -874,22 +874,23 @@ let test_retry_connection_management () =
       | exception (End_of_file | Sys_error _) -> ()
       | line ->
           (match Protocol.parse_command line with
-          | Ok (Protocol.Submit _, _) ->
+          | Ok (Protocol.Submit _, seq) ->
               if not !shed_already then begin
                 shed_already := true;
-                send oc
+                send ?seq oc
                   (Protocol.Rejected
                      (Protocol.Overloaded
                         { queue_depth = 8; limit = 8; retry_after_ms = 100 }))
               end
               else
-                send oc
+                send ?seq oc
                   (Protocol.Queued_reply
                      { id = 1; digest = "d"; coalesced = false })
-          | Ok (Protocol.Wait _, _) ->
-              send oc (Protocol.Status_reply { id = 1; state = Protocol.Done })
-          | Ok (Protocol.Result _, _) ->
-              send oc
+          | Ok (Protocol.Wait _, seq) ->
+              send ?seq oc
+                (Protocol.Status_reply { id = 1; state = Protocol.Done })
+          | Ok (Protocol.Result _, seq) ->
+              send ?seq oc
                 (Protocol.Payload { id = 1; bytes = String.length payload });
               output_string oc payload;
               output_string oc "end\n";
@@ -949,6 +950,133 @@ let test_retry_connection_management () =
   Unix.close listen_fd;
   try Sys.remove socket with Sys_error _ -> ()
 
+(* --- client against a hostile peer --------------------------------------- *)
+
+let peer_count = ref 0
+
+(* A scripted peer on a real socket. It serves up to [conns] connections
+   in turn (giving up after 10 s without one): each is greeted as
+   protocol [version], then [answer oc ~seq cmd] replies to each command,
+   echoing its seq as the real server does, and drops the connection by
+   returning [false]. *)
+let with_scripted_peer ?(version = Protocol.version) ~conns answer f =
+  incr peer_count;
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mcd-peer-%d-%d.sock" (Unix.getpid ()) !peer_count)
+  in
+  (try Sys.remove socket with Sys_error _ -> ());
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen_fd (Unix.ADDR_UNIX socket);
+  Unix.listen listen_fd 8;
+  let serve_one () =
+    let fd, _ = Unix.accept listen_fd in
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    (try
+       output_string oc
+         (Protocol.render_reply
+            (Protocol.Ready { version; workers = 1; queue_max = 8 })
+         ^ "\n");
+       flush oc;
+       let rec loop () =
+         match Protocol.parse_command (input_line ic) with
+         | Ok (cmd, seq) -> if answer oc ~seq cmd then loop ()
+         | Error _ -> loop ()
+       in
+       loop ()
+     with End_of_file | Sys_error _ -> ());
+    try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+  in
+  let peer =
+    Domain.spawn (fun () ->
+        let rec go n =
+          if
+            n > 0
+            && Mcd_serve.Evloop.wait_fd listen_fd ~read:true ~write:false
+                 ~timeout_ms:10_000
+               <> None
+          then begin
+            serve_one ();
+            go (n - 1)
+          end
+        in
+        go conns)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join peer;
+      Unix.close listen_fd;
+      try Sys.remove socket with Sys_error _ -> ())
+    (fun () -> f socket)
+
+(* Answers submit and wait like a server whose job is done, then sends
+   [frame seq] as the result and hangs up. *)
+let result_frame frame oc ~seq = function
+  | Protocol.Submit _ ->
+      output_string oc
+        (Protocol.render_reply ?seq
+           (Protocol.Queued_reply { id = 1; digest = "d"; coalesced = false })
+        ^ "\n");
+      flush oc;
+      true
+  | Protocol.Wait _ ->
+      output_string oc
+        (Protocol.render_reply ?seq
+           (Protocol.Status_reply { id = 1; state = Protocol.Done })
+        ^ "\n");
+      flush oc;
+      true
+  | Protocol.Result _ ->
+      output_string oc (frame seq);
+      flush oc;
+      false
+  | _ -> true
+
+(* The client's one frame decoder refuses a payload header before it
+   allocates: a negative or over-cap byte count is a protocol violation,
+   not a crash or a 64 MiB buffer; a peer that hangs up mid-body is a
+   transport failure; a greeting of another protocol version is refused
+   by both connect paths. *)
+let test_client_refuses_hostile_frames () =
+  let module Client = Mcd_serve.Client in
+  let run_against frame =
+    with_scripted_peer ~conns:1 (result_frame frame) @@ fun socket ->
+    match Client.connect ~socket with
+    | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
+    | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () -> Client.run c (Protocol.request "adpcm decode"))
+  in
+  let payload_header bytes seq =
+    Protocol.render_reply ?seq (Protocol.Payload { id = 1; bytes }) ^ "\n"
+  in
+  let expect what want = function
+    | Error e when want e -> ()
+    | Error e -> Alcotest.failf "%s: got %s" what (Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s: got a payload" what
+  in
+  let violation = function Error.Protocol_violation _ -> true | _ -> false in
+  expect "bytes=-1" violation (run_against (payload_header (-1)));
+  expect "bytes one over the cap" violation
+    (run_against (payload_header (Protocol.Frames.default_max_payload + 1)));
+  expect "hang-up mid-payload"
+    (function Error.Server_unavailable _ -> true | _ -> false)
+    (run_against (fun seq -> payload_header 10 seq ^ "abc"));
+  with_scripted_peer ~version:2 ~conns:2 (fun _ ~seq:_ _ -> false)
+  @@ fun socket ->
+  (match Client.connect ~socket with
+  | Error (Error.Protocol_violation _) -> ()
+  | Error e ->
+      Alcotest.failf "Client.connect to mcd-serve/2: %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "Client.connect accepted mcd-serve/2");
+  match Client.Pipeline.connect ~socket () with
+  | Error (Error.Protocol_violation _) -> ()
+  | Error e ->
+      Alcotest.failf "Pipeline.connect to mcd-serve/2: %s" (Error.to_string e)
+  | Ok _ -> Alcotest.fail "Pipeline.connect accepted mcd-serve/2"
+
 let suite =
   [
     ("protocol command roundtrip", `Quick, test_command_roundtrip);
@@ -986,4 +1114,7 @@ let suite =
     ( "retry reuses connection, reconnects on cut",
       `Quick,
       test_retry_connection_management );
+    ( "client refuses hostile frames",
+      `Quick,
+      test_client_refuses_hostile_frames );
   ]

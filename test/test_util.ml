@@ -209,6 +209,23 @@ let test_time_pp () =
     && String.sub (s (Time.ns 100)) (String.length (s (Time.ns 100)) - 2) 2
        = "ns")
 
+(* Serve deadlines and latencies difference two [now_s] reads: the
+   clock must never run backwards and must see a sleep pass. *)
+let test_time_now_s_monotonic () =
+  let backwards = ref 0 and prev = ref (Time.now_s ()) in
+  for _ = 1 to 10_000 do
+    let now = Time.now_s () in
+    if now < !prev then incr backwards;
+    prev := now
+  done;
+  Alcotest.(check int) "reads that went backwards" 0 !backwards;
+  let t0 = Time.now_s () in
+  Unix.sleepf 0.01;
+  let slept = Time.now_s () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a 10 ms sleep advanced the clock %.4f s" slept)
+    true (slept >= 0.009)
+
 (* --- Vec ------------------------------------------------------------ *)
 
 let test_vec_push_get () =
@@ -510,6 +527,7 @@ let suite =
     ("table formats", `Quick, test_table_formats);
     ("time conversions", `Quick, test_time_conversions);
     ("time pp", `Quick, test_time_pp);
+    ("time now_s monotonic", `Quick, test_time_now_s_monotonic);
     ("chart bars", `Quick, test_chart_bars);
     ("chart bars scaling", `Quick, test_chart_bars_scaling);
     ("chart scatter", `Quick, test_chart_scatter);

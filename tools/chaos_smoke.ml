@@ -50,136 +50,13 @@ module Client = Mcd_serve.Client
 module Protocol = Mcd_serve.Protocol
 module Journal = Mcd_serve.Journal
 module Store = Mcd_cache.Store
-module Runner = Mcd_experiments.Runner
-module Metrics = Mcd_power.Metrics
-module Suite = Mcd_workloads.Suite
-module Context = Mcd_profiling.Context
 module Error = Mcd_robust.Error
 module Inject = Mcd_robust.Inject
 module Rng = Mcd_util.Rng
+open Harness
 
 let seed = 1789
 let cycles = 22
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "chaos_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
-
-let metric_value body name =
-  let needle = Printf.sprintf "\"name\":\"%s\"" name in
-  String.split_on_char '\n' body
-  |> List.find_opt (fun line -> contains line needle)
-  |> Option.map (fun line ->
-         let marker = "\"value\":" in
-         let rec find i =
-           if i + String.length marker > String.length line then None
-           else if String.sub line i (String.length marker) = marker then
-             Some (i + String.length marker)
-           else find (i + 1)
-         in
-         match find 0 with
-         | None -> nan
-         | Some start ->
-             let stop = ref start in
-             while
-               !stop < String.length line
-               &&
-               match line.[!stop] with
-               | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-               | _ -> false
-             do
-               incr stop
-             done;
-             float_of_string (String.sub line start (!stop - start)))
-
-(* --- process helpers --------------------------------------------------- *)
-
-let fork_server ?digest ?compute cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match Server.run ?digest ?compute cfg with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "chaos_smoke server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let reap_status pid = snd (Unix.waitpid [] pid)
-
-let reap ~what pid =
-  match reap_status pid with
-  | Unix.WEXITED code -> check (code = 0) "%s exited with code %d" what code
-  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-      check false "%s killed/stopped by signal %d" what s
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  reap ~what pid
-
-let server_stat socket name =
-  match Client.connect ~socket with
-  | Error e ->
-      check false "stats connect: %s" (Error.to_string e);
-      0.0
-  | Ok c ->
-      let v =
-        match Client.stats c with
-        | Ok body -> Option.value ~default:0.0 (metric_value body name)
-        | Error e ->
-            check false "stats: %s" (Error.to_string e);
-            0.0
-      in
-      Client.close c;
-      v
 
 (* --- phase 1: racing starts -------------------------------------------- *)
 
@@ -348,12 +225,6 @@ let phase_kill9_loop socket journal_path ~expected_baseline ~expected_online =
   drain_and_reap ~what:"kill9 loop final server" socket !server
 
 (* --- phase 3: worker crash mid-compute --------------------------------- *)
-
-let canned_digest (r : Protocol.request) =
-  Ok (Printf.sprintf "canned-%s" (Mcd_cache.Key.float_param r.slowdown_pct))
-
-let canned_payload (r : Protocol.request) =
-  Printf.sprintf "payload-%s" (Mcd_cache.Key.float_param r.slowdown_pct)
 
 let phase_worker_crash socket journal_path =
   let victim = Protocol.request ~slowdown_pct:66.0 workload_name in
@@ -582,44 +453,19 @@ let phase_sigterm_replay socket journal_path =
 (* --- main -------------------------------------------------------------- *)
 
 let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   ignore (Unix.alarm 540);
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-chaos-smoke.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
-  let cache_dir = Filename.concat tmp "cache" in
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
-  (* One-shot expected payloads, computed with caching off so the
-     comparison is against a genuinely independent computation. *)
-  Store.set_default None;
-  let w = Suite.by_name workload_name in
-  let expected_baseline =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Baseline ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
-  let expected_online =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Online ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
-  (* Servers (forked below) inherit this default store. *)
-  Store.set_default (Some (Store.create ~dir:cache_dir));
-  phase_racing_starts (socket 1);
-  phase_kill9_loop (socket 2)
-    (Filename.concat tmp "kill9.journal")
-    ~expected_baseline ~expected_online;
-  phase_worker_crash (socket 3) (Filename.concat tmp "crash.journal");
-  phase_deadline (socket 4);
-  phase_drain_parked (socket 5) (Filename.concat tmp "drain.journal");
-  phase_sigterm_replay (socket 6) (Filename.concat tmp "replay.journal");
-  if !failures = 0 then print_endline "chaos_smoke: OK"
-  else begin
-    Printf.eprintf "chaos_smoke: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  (with_temp_dir "mcd-chaos-smoke" @@ fun tmp ->
+   let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
+   let expected_baseline = one_shot `Baseline workload_name in
+   let expected_online = one_shot `Online workload_name in
+   (* Servers (forked below) inherit this default store. *)
+   Store.set_default (Some (Store.create ~dir:(Filename.concat tmp "cache")));
+   phase_racing_starts (socket 1);
+   phase_kill9_loop (socket 2)
+     (Filename.concat tmp "kill9.journal")
+     ~expected_baseline ~expected_online;
+   phase_worker_crash (socket 3) (Filename.concat tmp "crash.journal");
+   phase_deadline (socket 4);
+   phase_drain_parked (socket 5) (Filename.concat tmp "drain.journal");
+   phase_sigterm_replay (socket 6) (Filename.concat tmp "replay.journal"));
+  finish ()

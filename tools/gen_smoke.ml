@@ -14,7 +14,9 @@
    violation to reproduce (exit 0).
 
    The CLI executable path arrives as argv(1) from the dune rule, so
-   the test always runs the binary built from this tree.
+   the test always runs the binary built from this tree, and the warm
+   cache directory as argv(2): dune gives each action a TMPDIR of its
+   own that it deletes after the build, so the rule names the directory.
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
@@ -32,17 +34,7 @@ module Json = Mcd_obs.Json
 module Context = Mcd_profiling.Context
 module Runner = Mcd_experiments.Runner
 module Policies = Mcd_control.Policies
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "gen_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
+open Harness
 
 let no_violations label vs =
   List.iter
@@ -50,17 +42,11 @@ let no_violations label vs =
       check false "%s: %s: %s" label v.Gassert.check v.Gassert.detail)
     vs
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let () =
-  let cli =
-    if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else failwith "usage: gen_smoke MCD_DVFS_CLI"
+  let cli, cache_dir =
+    match Sys.argv with
+    | [| _; cli; cache_dir |] -> (cli, cache_dir)
+    | _ -> failwith "usage: gen_smoke MCD_DVFS_CLI CACHE_DIR"
   in
   let spec = { Spec.default with Spec.seed = 42 } in
 
@@ -143,8 +129,8 @@ let () =
   let out = Filename.temp_file "mcd-gen" ".out" in
   let json_path = Filename.temp_file "mcd-gen" ".json" in
   let common_flags =
-    "--jobs 0 --no-observe --train-insts 6000 --ref-insts 12000 --cache-dir \
-     /tmp/mcd-gen-cache.verify"
+    "--jobs 0 --no-observe --train-insts 6000 --ref-insts 12000 --cache-dir "
+    ^ Filename.quote cache_dir
   in
   let cmd =
     Printf.sprintf "%s campaign --count 100 --seed 7 --minimize 2 %s --json %s > %s"
@@ -209,5 +195,4 @@ let () =
   end;
   Sys.remove out;
   Sys.remove json_path;
-  if !failures > 0 then exit 1;
-  print_endline "gen_smoke: OK"
+  finish ()

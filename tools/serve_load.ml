@@ -32,90 +32,20 @@
    pipelined closed loop beats one-shot by at least 3x. *)
 
 module Server = Mcd_serve.Server
-module Client = Mcd_serve.Client
 module Pipeline = Mcd_serve.Client.Pipeline
 module Protocol = Mcd_serve.Protocol
 module Error = Mcd_robust.Error
 module Rng = Mcd_util.Rng
+module Time = Mcd_util.Time
+open Harness
 
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "serve_load: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-(* --- forked canned server ---------------------------------------------- *)
-
-(* Unique digest per (workload, slowdown) spelling: warm traffic repeats
-   one spelling per workload and coalesces; cold traffic varies the
+(* Canned compute with a configurable service time. The canned digest is
+   unique per (workload, slowdown) spelling: warm traffic repeats one
+   spelling per workload and coalesces; cold traffic varies the
    slowdown and never does. *)
-let canned_digest (r : Protocol.request) =
-  Ok (Printf.sprintf "canned-%s-%s" r.workload (Mcd_cache.Key.float_param r.slowdown_pct))
-
-let canned_compute ~service_ms (r : Protocol.request) =
+let canned_compute ~service_ms r =
   if service_ms > 0.0 then Unix.sleepf (service_ms /. 1000.0);
-  Printf.sprintf "payload-%s-%s" r.workload (Mcd_cache.Key.float_param r.slowdown_pct)
-
-let fork_server ~service_ms cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match
-          Server.run ~digest:canned_digest
-            ~compute:(canned_compute ~service_ms) cfg
-        with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "serve_load server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED code -> check false "%s exited with code %d" what code
-  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
-      check false "%s killed/stopped by signal %d" what s
+  canned_payload r
 
 (* --- request mixes ------------------------------------------------------ *)
 
@@ -168,7 +98,7 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
             exit 1)
   in
   let pipes = Array.of_list pipes in
-  let started = Unix.gettimeofday () in
+  let started = Time.now_s () in
   let horizon = started +. duration_s in
   let sent = ref 0
   and completed = ref 0
@@ -189,14 +119,14 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
     incr sent;
     incr in_flight;
     if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-    let t_issue = Unix.gettimeofday () in
+    let t_issue = Time.now_s () in
     Pipeline.run p a.req ~k:(fun outcome ->
         decr in_flight;
         match outcome with
         | Ok _payload ->
             incr completed;
             latencies :=
-              ((Unix.gettimeofday () -. t_issue) *. 1000.0) :: !latencies
+              ((Time.now_s () -. t_issue) *. 1000.0) :: !latencies
         | Error (Error.Overloaded { retry_after_ms; _ }) ->
             incr rejected;
             incr hint_count;
@@ -209,7 +139,7 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
                 {
                   a with
                   issue_at =
-                    Unix.gettimeofday ()
+                    Time.now_s ()
                     +. (float_of_int retry_after_ms /. 1000.0);
                 }
                 :: !due
@@ -224,7 +154,7 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
         | Error _ -> (* callbacks already failed; counted as other_errors *) ())
       pipes;
     (* re-issue retries that have reached their backoff time *)
-    let now = Unix.gettimeofday () in
+    let now = Time.now_s () in
     let ready, waiting = List.partition (fun a -> a.issue_at <= now) !due in
     due := waiting;
     List.iter issue ready
@@ -236,8 +166,8 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
     let u = Rng.float rng 1.0 in
     next_arrival := !next_arrival +. (-.Float.log (1.0 -. u) /. rate)
   in
-  while Unix.gettimeofday () < horizon do
-    let now = Unix.gettimeofday () in
+  while Time.now_s () < horizon do
+    let now = Time.now_s () in
     while !next_arrival <= now && !next_arrival < horizon do
       issue { retries_left = max_retries; issue_at = now; req = request_of !arrivals };
       incr arrivals;
@@ -246,11 +176,11 @@ let open_loop ~socket ~rate ~duration_s ~conns ~seed ~request_of ~max_retries ()
     pump_all 1
   done;
   (* drain: open loop stops offering, everything issued must resolve *)
-  let drain_deadline = Unix.gettimeofday () +. 30.0 in
-  while (!in_flight > 0 || !due <> []) && Unix.gettimeofday () < drain_deadline do
+  let drain_deadline = Time.now_s () +. 30.0 in
+  while (!in_flight > 0 || !due <> []) && Time.now_s () < drain_deadline do
     pump_all 5
   done;
-  let duration = Unix.gettimeofday () -. started in
+  let duration = Time.now_s () -. started in
   Array.iter Pipeline.close pipes;
   let lost = !in_flight + List.length !due in
   let latencies_ms = Array.of_list !latencies in
@@ -285,18 +215,18 @@ let closed_pipelined ~socket ~conc ~duration_s =
       0
   | Ok p ->
       let completed = ref 0 in
-      let horizon = Unix.gettimeofday () +. duration_s in
+      let horizon = Time.now_s () +. duration_s in
       let n = ref 0 in
       let rec issue () =
         incr n;
         Pipeline.run p (warm_request !n) ~k:(fun _ ->
             incr completed;
-            if Unix.gettimeofday () < horizon then issue ())
+            if Time.now_s () < horizon then issue ())
       in
       for _ = 1 to conc do
         issue ()
       done;
-      while Pipeline.in_flight p > 0 && Unix.gettimeofday () < horizon +. 10.0 do
+      while Pipeline.in_flight p > 0 && Time.now_s () < horizon +. 10.0 do
         (match Pipeline.pump ~timeout_ms:5 p with Ok () -> () | Error _ -> ())
       done;
       Pipeline.close p;
@@ -304,13 +234,13 @@ let closed_pipelined ~socket ~conc ~duration_s =
 
 let closed_oneshot ~socket ~conc ~duration_s =
   let completed = ref 0 in
-  let horizon = Unix.gettimeofday () +. duration_s in
+  let horizon = Time.now_s () +. duration_s in
   let n = ref 0 in
   (* a slot is None between requests (about to reconnect) *)
   let slots = Array.make conc None in
   let live = ref 0 in
   let start_slot i =
-    if Unix.gettimeofday () < horizon then begin
+    if Time.now_s () < horizon then begin
       match Pipeline.connect ~socket () with
       | Error e -> check false "closed_oneshot connect: %s" (Error.to_string e)
       | Ok p ->
@@ -329,7 +259,7 @@ let closed_oneshot ~socket ~conc ~duration_s =
   done;
   let hard_stop = horizon +. 10.0 in
   let rec spin () =
-    let now = Unix.gettimeofday () in
+    let now = Time.now_s () in
     if now < hard_stop && (!live > 0 || now < horizon) then begin
       Array.iteri
         (fun i slot ->
@@ -420,7 +350,6 @@ let usage () =
   exit 2
 
 let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let smoke = ref false
   and json = ref None
   and seed = ref 42
@@ -466,14 +395,7 @@ let () =
     conc := 16;
     service_ms := 2.0
   end;
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-serve-load.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
+  (with_temp_dir "mcd-serve-load" @@ fun tmp ->
   Mcd_cache.Store.set_default None;
   let socket = Filename.concat tmp "serve.sock" in
   let journal = Filename.concat tmp "serve.journal" in
@@ -487,7 +409,11 @@ let () =
       drain_grace_s = 0.2;
     }
   in
-  let server = fork_server ~service_ms:!service_ms cfg in
+  let server =
+    fork_server ~digest:canned_digest
+      ~compute:(canned_compute ~service_ms:!service_ms)
+      cfg
+  in
   if not (wait_for_server socket) then begin
     Printf.eprintf "serve_load: server never came up\n%!";
     exit 1
@@ -589,9 +515,5 @@ let () =
     (percentile warm.latencies_ms 0.99)
     (float_of_int cold.completed /. cold.duration_s)
     (percentile cold.latencies_ms 0.99)
-    saturated.rejected saturated.sent speedup;
-  if !failures = 0 then print_endline "serve_load: OK"
-  else begin
-    Printf.eprintf "serve_load: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+    saturated.rejected saturated.sent speedup);
+  finish ()

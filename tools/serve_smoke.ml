@@ -1,7 +1,7 @@
 (* End-to-end smoke test of the experiment daemon for the @verify alias.
 
-   Four phases, all against real forked server processes on Unix
-   sockets under a fresh temp cache:
+   Six phases, all against real forked server processes on Unix
+   sockets under a fresh temp cache, driven through tools/harness.ml:
 
    1. concurrency + coalescing: 8 forked clients hammer one server
       with rotated mixes of duplicate and distinct requests; every
@@ -26,124 +26,23 @@
 
    5. idle wakeup: a completion must wake an otherwise-idle server's
       parked wait through the self-pipe in under 10ms (best of 3) —
-      the regression guard for the deadline-driven poll timeout.
+      the regression guard for the deadline-driven poll timeout;
+
+   6. per-connection caps: past --conn-inflight-max a parked wait is
+      refused Overloaded with a retry hint, and a reply larger than
+      --outbuf-max-bytes closes only its own connection.
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
 module Server = Mcd_serve.Server
 module Client = Mcd_serve.Client
+module Pipeline = Mcd_serve.Client.Pipeline
 module Protocol = Mcd_serve.Protocol
+module Evloop = Mcd_serve.Evloop
 module Store = Mcd_cache.Store
-module Runner = Mcd_experiments.Runner
-module Metrics = Mcd_power.Metrics
-module Suite = Mcd_workloads.Suite
-module Context = Mcd_profiling.Context
 module Error = Mcd_robust.Error
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "serve_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* Pull one instrument's value out of a metrics_jsonl body. Counters
-   print integers, gauges floats; both parse as float. *)
-let metric_value body name =
-  let needle = Printf.sprintf "\"name\":\"%s\"" name in
-  String.split_on_char '\n' body
-  |> List.find_opt (fun line -> contains line needle)
-  |> Option.map (fun line ->
-         match String.index_opt line ':' with
-         | None -> nan
-         | Some _ -> (
-             let marker = "\"value\":" in
-             let rec find i =
-               if i + String.length marker > String.length line then None
-               else if String.sub line i (String.length marker) = marker then
-                 Some (i + String.length marker)
-             else find (i + 1)
-             in
-             match find 0 with
-             | None -> nan
-             | Some start ->
-                 let stop = ref start in
-                 while
-                   !stop < String.length line
-                   && (match line.[!stop] with
-                      | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-                      | _ -> false)
-                 do
-                   incr stop
-                 done;
-                 float_of_string (String.sub line start (!stop - start))))
-
-(* --- process helpers --------------------------------------------------- *)
-
-let fork_server ?digest ?compute cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match Server.run ?digest ?compute cfg with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "serve_smoke server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let reap ~what pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code ->
-      check (code = 0) "%s exited with code %d" what code
-  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
-      check false "%s killed/stopped by signal %d" what s
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  reap ~what pid
+module Time = Mcd_util.Time
+open Harness
 
 (* --- the request mix --------------------------------------------------- *)
 
@@ -266,12 +165,9 @@ let phase_concurrency socket cache_dir ~expected_baseline ~expected_online =
 let phase_overload socket =
   (* Canned compute: slow enough that a burst outruns the one worker
      and the depth-2 queue deterministically. *)
-  let digest (r : Protocol.request) =
-    Ok (Printf.sprintf "canned-%s" (Mcd_cache.Key.float_param r.slowdown_pct))
-  in
-  let compute (r : Protocol.request) =
+  let compute r =
     Unix.sleepf 0.3;
-    Printf.sprintf "payload-%s" (Mcd_cache.Key.float_param r.slowdown_pct)
+    canned_payload r
   in
   let cfg =
     {
@@ -282,7 +178,7 @@ let phase_overload socket =
       drain_grace_s = 0.2;
     }
   in
-  let server = fork_server ~digest ~compute cfg in
+  let server = fork_server ~digest:canned_digest ~compute cfg in
   check (wait_for_server socket) "phase 2 server never came up";
   (match Client.connect ~socket with
   | Error e -> check false "phase 2 connect: %s" (Error.to_string e)
@@ -310,16 +206,13 @@ let phase_overload socket =
         "only %d accepted, want >= 3" (List.length !accepted);
       (* shed is not dropped: every accepted job still completes *)
       List.iter
-        (fun ((r : Protocol.request), (t : Client.ticket)) ->
+        (fun (r, (t : Client.ticket)) ->
           match Client.wait c t.Client.id with
           | Ok Protocol.Done -> (
               match Client.result c t.Client.id with
               | Ok payload ->
-                  check
-                    (payload
-                    = Printf.sprintf "payload-%s"
-                        (Mcd_cache.Key.float_param r.slowdown_pct))
-                    "job %d payload mismatch" t.Client.id
+                  check (payload = canned_payload r) "job %d payload mismatch"
+                    t.Client.id
               | Error e ->
                   check false "result %d: %s" t.Client.id (Error.to_string e))
           | Ok state ->
@@ -399,18 +292,15 @@ let phase_kill_and_restart socket ~expected_online =
    tick. Measured overhead = (submit → wait answered) − the canned
    compute time; best-of-3 absorbs scheduler noise on a loaded box. *)
 let phase_idle_wakeup socket =
-  let digest (r : Protocol.request) =
-    Ok (Printf.sprintf "wakeup-%s" (Mcd_cache.Key.float_param r.slowdown_pct))
-  in
   let compute_s = 0.2 in
-  let compute (r : Protocol.request) =
+  let compute r =
     Unix.sleepf compute_s;
-    Printf.sprintf "payload-%s" (Mcd_cache.Key.float_param r.slowdown_pct)
+    canned_payload r
   in
   let cfg =
     { (Server.default_config ~socket) with workers = 1; drain_grace_s = 0.2 }
   in
-  let server = fork_server ~digest ~compute cfg in
+  let server = fork_server ~digest:canned_digest ~compute cfg in
   check (wait_for_server socket) "phase 5 server never came up";
   (match Client.connect ~socket with
   | Error e -> check false "phase 5 connect: %s" (Error.to_string e)
@@ -419,7 +309,7 @@ let phase_idle_wakeup socket =
         let req =
           Protocol.request ~slowdown_pct:(float_of_int (100 + i)) workload_name
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Time.now_s () in
         match Client.submit c req with
         | Error e ->
             check false "phase 5 submit: %s" (Error.to_string e);
@@ -427,7 +317,7 @@ let phase_idle_wakeup socket =
         | Ok t -> (
             match Client.wait c t.Client.id with
             | Ok Protocol.Done ->
-                ((Unix.gettimeofday () -. t0) -. compute_s) *. 1000.0
+                ((Time.now_s () -. t0) -. compute_s) *. 1000.0
             | Ok state ->
                 check false "phase 5 job ended %s" (Protocol.state_name state);
                 infinity
@@ -443,42 +333,111 @@ let phase_idle_wakeup socket =
       Client.close c);
   drain_and_reap ~what:"phase 5 server" socket server
 
+(* --- phase 6: the per-connection caps ----------------------------------- *)
+
+(* Both caps bound what one connection can make the server hold. With
+   [conn_inflight_max = 2] the third wait parked on one pipelined
+   connection is refused [Overloaded], hinted, while the first two are
+   answered. With a small [outbuf_max_bytes] a reply larger than the
+   cap (a [stats] dump) closes its connection before a byte of it is
+   sent, and the other connections are still served. *)
+let phase_conn_caps socket =
+  let compute r =
+    Unix.sleepf 0.5;
+    canned_payload r
+  in
+  let cfg =
+    {
+      (Server.default_config ~socket) with
+      workers = 1;
+      conn_inflight_max = 2;
+      outbuf_max_bytes = 1024;
+      drain_grace_s = 0.2;
+    }
+  in
+  let server = fork_server ~digest:canned_digest ~compute cfg in
+  check (wait_for_server socket) "phase 6 server never came up";
+  (match Pipeline.connect ~socket () with
+  | Error e -> check false "phase 6 connect: %s" (Error.to_string e)
+  | Ok p ->
+      let requests =
+        List.init 3 (fun i ->
+            Protocol.request ~slowdown_pct:(float_of_int (200 + i)) workload_name)
+      in
+      let answers = Array.make 3 None in
+      List.iteri
+        (fun i r -> Pipeline.run p r ~k:(fun a -> answers.(i) <- Some a))
+        requests;
+      let deadline = Time.now_s () +. 10.0 in
+      while Pipeline.in_flight p > 0 && Time.now_s () < deadline do
+        ignore (Pipeline.pump ~timeout_ms:50 p)
+      done;
+      Pipeline.close p;
+      List.iteri
+        (fun i r ->
+          match answers.(i) with
+          | Some (Ok payload) when i < 2 ->
+              check (payload = canned_payload r) "phase 6 request %d payload" i
+          | Some (Error (Error.Overloaded { limit; retry_after_ms; _ }))
+            when i = 2 ->
+              check (limit = 2) "inflight cap reported limit=%d, want 2" limit;
+              check (retry_after_ms >= 100)
+                "inflight cap hint %dms, want >= 100ms" retry_after_ms
+          | Some (Ok _) -> check false "third parked wait was not refused"
+          | Some (Error e) ->
+              check false "phase 6 request %d: %s" i (Error.to_string e)
+          | None -> check false "phase 6 request %d never answered" i)
+        requests);
+  (match Client.connect ~socket with
+  | Error e -> check false "phase 6 bystander connect: %s" (Error.to_string e)
+  | Ok c ->
+      (* the hog asks for a stats dump and never reads a reply: the
+         server must close it having sent nothing past the greeting *)
+      let hog = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect hog (Unix.ADDR_UNIX socket);
+      ignore (Unix.write_substring hog "stats\n" 0 6);
+      let got = Buffer.create 128 and buf = Bytes.create 4096 in
+      let rec until_closed () =
+        match Evloop.wait_fd hog ~read:true ~write:false ~timeout_ms:5000 with
+        | None -> false
+        | Some _ -> (
+            match Unix.read hog buf 0 (Bytes.length buf) with
+            | 0 -> true
+            | n ->
+                Buffer.add_subbytes got buf 0 n;
+                until_closed ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+      in
+      check (until_closed ()) "a connection past outbuf_max_bytes stayed open";
+      Unix.close hog;
+      check
+        (String.index_opt (Buffer.contents got) '\n'
+        = Some (Buffer.length got - 1))
+        "the capped connection got more than its greeting: %S"
+        (Buffer.contents got);
+      let r = Protocol.request ~slowdown_pct:300.0 workload_name in
+      (match Client.run c r with
+      | Ok payload ->
+          check (payload = canned_payload r) "bystander payload mismatch"
+      | Error e ->
+          check false "bystander not served after the cap closed the hog: %s"
+            (Error.to_string e));
+      Client.close c);
+  drain_and_reap ~what:"phase 6 server" socket server
+
 (* --- main -------------------------------------------------------------- *)
 
 let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-serve-smoke.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
-  let cache_dir = Filename.concat tmp "cache" in
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
-  (* One-shot expected payloads, computed with caching off so the
-     comparison is against a genuinely independent computation. *)
-  Store.set_default None;
-  let w = Suite.by_name workload_name in
-  let expected_baseline =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Baseline ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
-  let expected_online =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Online ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
-  (* Servers (forked below) inherit this default store. *)
-  Store.set_default (Some (Store.create ~dir:cache_dir));
-  phase_concurrency (socket 1) cache_dir ~expected_baseline ~expected_online;
-  phase_overload (socket 2);
-  phase_kill_and_restart (socket 3) ~expected_online;
-  phase_idle_wakeup (socket 5);
-  if !failures = 0 then print_endline "serve_smoke: OK"
-  else begin
-    Printf.eprintf "serve_smoke: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  (with_temp_dir "mcd-serve-smoke" @@ fun tmp ->
+   let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
+   let cache_dir = Filename.concat tmp "cache" in
+   let expected_baseline = one_shot `Baseline workload_name in
+   let expected_online = one_shot `Online workload_name in
+   (* Servers (forked below) inherit this default store. *)
+   Store.set_default (Some (Store.create ~dir:cache_dir));
+   phase_concurrency (socket 1) cache_dir ~expected_baseline ~expected_online;
+   phase_overload (socket 2);
+   phase_kill_and_restart (socket 3) ~expected_online;
+   phase_idle_wakeup (socket 5);
+   phase_conn_caps (socket 6));
+  finish ()

@@ -9,45 +9,30 @@
 
    The CLI executable path arrives as argv(1) from the dune rule, so
    the test always runs the binary built from this tree. A dedicated
-   warm cache directory keeps repeat verifies cheap without sharing
-   state with the bench rule (which GCs its own directory).
+   warm cache directory, argv(2), keeps repeat verifies cheap without
+   sharing state with the bench rule (which GCs its own directory); the
+   rule names it because dune gives each action a TMPDIR of its own that
+   it deletes after the build.
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
 module Policies = Mcd_control.Policies
 module Policy = Mcd_control.Policy
 module Json = Mcd_obs.Json
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "tournament_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+open Harness
 
 let () =
-  let cli =
-    if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else failwith "usage: tournament_smoke MCD_DVFS_CLI"
+  let cli, cache_dir =
+    match Sys.argv with
+    | [| _; cli; cache_dir |] -> (cli, cache_dir)
+    | _ -> failwith "usage: tournament_smoke MCD_DVFS_CLI CACHE_DIR"
   in
   let out = Filename.temp_file "mcd-tournament" ".out" in
   let json_path = Filename.temp_file "mcd-tournament" ".json" in
   let cmd =
-    Printf.sprintf
-      "%s tournament --quick --jobs 0 --json %s --cache-dir \
-       /tmp/mcd-tournament-cache.verify > %s"
-      (Filename.quote cli) (Filename.quote json_path) (Filename.quote out)
+    Printf.sprintf "%s tournament --quick --jobs 0 --json %s --cache-dir %s > %s"
+      (Filename.quote cli) (Filename.quote json_path)
+      (Filename.quote cache_dir) (Filename.quote out)
   in
   let rc = Sys.command cmd in
   check (rc = 0) "exit code %d from %s" rc cmd;
@@ -122,5 +107,4 @@ let () =
         entries);
   Sys.remove out;
   Sys.remove json_path;
-  if !failures > 0 then exit 1;
-  print_endline "tournament_smoke: OK"
+  finish ()

@@ -968,7 +968,9 @@ let obs_stage t ~now =
         in
         for i = 0 to Domain.count - 1 do
           let d = Domain.of_index i in
-          let f = Dvfs.current_mhz t.dvfs d ~now in
+          (* a peek: advancing the ramp here would split the slew
+             integration the run itself continues *)
+          let f = Dvfs.peek_mhz t.dvfs d ~now in
           t.obs_mhz.(i) <- f;
           t.obs_volt.(i) <- Freq.voltage_f f;
           (* residency weighted by the cycles spent since the previous

@@ -91,16 +91,27 @@ let oracle_memo_key : (string, Mcd_core.Oracle.analysis) Hashtbl.t Domain.DLS.ke
 let profiled_memo_key : (string, profiled_run) Hashtbl.t Domain.DLS.key =
   dls_table ()
 
+(* the key fragments every run, plan and oracle key opens with, by
+   (input, config); see [base_parts] *)
+let base_parts_memo_key :
+    ( Mcd_isa.Program.input * Config.t,
+      Mcd_isa.Program.t * (string * string) list )
+    Hashtbl.t
+    Domain.DLS.key =
+  dls_table ()
+
 let memo () = Domain.DLS.get memo_key
 let plan_memo () = Domain.DLS.get plan_memo_key
 let oracle_memo () = Domain.DLS.get oracle_memo_key
 let profiled_memo () = Domain.DLS.get profiled_memo_key
+let base_parts_memo () = Domain.DLS.get base_parts_memo_key
 
 let clear_caches () =
   Hashtbl.reset (memo ());
   Hashtbl.reset (plan_memo ());
   Hashtbl.reset (oracle_memo ());
-  Hashtbl.reset (profiled_memo ())
+  Hashtbl.reset (profiled_memo ());
+  Hashtbl.reset (base_parts_memo ())
 
 let memoize tbl key f =
   match Hashtbl.find_opt tbl key with
@@ -153,11 +164,28 @@ let training_tree ?threshold (w : Workload.t) ~context ~train =
 
 (* --- persistent cache keys and codecs ---------------------------------- *)
 
+(* Rendering the program and the configuration costs microseconds a
+   key, and a served request derives one per arrival, so the fragments
+   are derived once per (program, input, config) in each domain. The
+   input and the config are plain data and compare by value. The
+   program is matched by physical identity: it holds [Choose] closures,
+   so it has no structural equality, and a workload name would hand a
+   program rebuilt under that name a stale key. A different program at
+   the same (input, config) replaces the entry. *)
 let base_parts (w : Workload.t) ~config ~input =
-  Ckey.program_fragment w.Workload.program ~input
-  @ Ckey.input_fragment input
-  @ Ckey.config_fragment config
-  @ Ckey.freq_fragment ()
+  let program = w.Workload.program in
+  let tbl = base_parts_memo () in
+  match Hashtbl.find_opt tbl (input, config) with
+  | Some (p, parts) when p == program -> parts
+  | Some _ | None ->
+      let parts =
+        Ckey.program_fragment program ~input
+        @ Ckey.input_fragment input
+        @ Ckey.config_fragment config
+        @ Ckey.freq_fragment ()
+      in
+      Hashtbl.replace tbl (input, config) (program, parts);
+      parts
 
 (* A production run is identified by everything the simulator sees: the
    program (at the reference input), the input itself, the processor

@@ -86,6 +86,14 @@ let current_mhz t domain ~now =
   advance ds ~now;
   ds.current
 
+(* The advance happens on a copy: the ramp's own float integration must
+   not gain a step at the instant of the peek. *)
+let peek_mhz t domain ~now =
+  let ds = t.domains.(Domain.index domain) in
+  let copy = { ds with current = ds.current } in
+  advance copy ~now;
+  copy.current
+
 let voltage t domain ~now = Freq.voltage_f (current_mhz t domain ~now)
 let energy_scale t domain ~now = Freq.energy_scale (current_mhz t domain ~now)
 

@@ -66,6 +66,12 @@ val current_mhz : t -> Domain.t -> now:Mcd_util.Time.t -> float
     Queries at times before the previous observation answer with the
     current operating point (the ramp is never rewound). *)
 
+val peek_mhz : t -> Domain.t -> now:Mcd_util.Time.t -> float
+(** The frequency {!current_mhz} would answer at [now], without
+    advancing the ramp. Each advance is a step of the slew's float
+    integration, so an observer that must not perturb the run (the
+    observability sampler) reads through this. *)
+
 val voltage : t -> Domain.t -> now:Mcd_util.Time.t -> float
 
 val energy_scale : t -> Domain.t -> now:Mcd_util.Time.t -> float

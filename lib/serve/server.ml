@@ -373,24 +373,19 @@ let handle_command t conn ~digest ~seq = function
           | Scheduler.Queued | Scheduler.Running ->
               enqueue conn ?seq (Protocol.Rejected (Protocol.Not_done id))))
 
-(* Split complete lines off the connection's accumulator and run them. *)
+(* Run every complete line of the connection's accumulator plus [chunk],
+   scanning by offset, then keep the unterminated remainder once: a read
+   carrying n pipelined lines costs time linear in its bytes, not
+   quadratic in n. *)
 let handle_input t conn ~digest chunk =
-  conn.acc <- conn.acc ^ chunk;
-  let rec go () =
-    if conn.closing then ()
+  let buf = if conn.acc = "" then chunk else conn.acc ^ chunk in
+  let rec go off =
+    if conn.closing then off
     else
-      match String.index_opt conn.acc '\n' with
-      | None ->
-          if String.length conn.acc > line_max then begin
-            enqueue conn
-              (Protocol.Rejected
-                 (Protocol.Bad_request "command line too long"));
-            conn.closing <- true
-          end
+      match String.index_from_opt buf off '\n' with
+      | None -> off
       | Some i ->
-          let line = String.sub conn.acc 0 i in
-          conn.acc <-
-            String.sub conn.acc (i + 1) (String.length conn.acc - i - 1);
+          let line = String.sub buf off (i - off) in
           (match Protocol.parse_command line with
           | Ok (cmd, seq) -> handle_command t conn ~digest ~seq cmd
           | Result.Error reason ->
@@ -398,9 +393,16 @@ let handle_input t conn ~digest chunk =
                 (Protocol.Rejected
                    (Protocol.Bad_request
                       (Printf.sprintf "%s (line %S)" reason line))));
-          go ()
+          go (i + 1)
   in
-  go ()
+  let off = go 0 in
+  let rest = String.length buf - off in
+  conn.acc <- (if off = 0 then buf else String.sub buf off rest);
+  if rest > line_max && not conn.closing then begin
+    enqueue conn
+      (Protocol.Rejected (Protocol.Bad_request "command line too long"));
+    conn.closing <- true
+  end
 
 let answer_parked_waits t =
   Hashtbl.iter

@@ -1,5 +1,12 @@
 (* Helpers shared by the test modules. *)
 
+(* The CLI binary, resolved relative to the test executable, not the
+   cwd, so the suite passes under `dune runtest` and when run by hand. *)
+let cli_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    (Filename.concat "bin" "mcd_dvfs_cli.exe")
+
 let rec rm_rf path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->

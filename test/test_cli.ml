@@ -3,12 +3,7 @@
    authoritative copy — must document every code the tool can return
    (0 success, 1 campaign failure, 2 validation, 3 I/O, 4 overload). *)
 
-(* Resolve the binary relative to the test executable, not the cwd, so
-   the suite passes under `dune runtest` and when run by hand. *)
-let cli_exe =
-  Filename.concat
-    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
-    (Filename.concat "bin" "mcd_dvfs_cli.exe")
+let cli_exe = Helpers.cli_exe
 
 let run_help args =
   let cmd =

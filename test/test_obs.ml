@@ -393,6 +393,40 @@ let test_traced_profile_run () =
   in
   ()
 
+(* An attached sink is a side channel: the observed run must encode to
+   the plain run's bytes, down to the last bit of every float. The
+   generated spec is one a seeded campaign draws; its on-line run once
+   drifted by one ulp of floating-domain energy because sampling the
+   operating point advanced the slew ramp. *)
+let test_observed_run_equals_plain () =
+  let module Runner = Mcd_experiments.Runner in
+  let generated =
+    Mcd_gen.Spec.workload
+      (Mcd_gen.Spec.draw ~train_insts:12_000 ~ref_insts:30_000
+         ~seed:4344337351877135807 ())
+  in
+  List.iter
+    (fun (w : Mcd_workloads.Workload.t) ->
+      List.iter
+        (fun (label, policy, plain) ->
+          let sink = Sink.create ~domains:Domain.count () in
+          let observed = Runner.observed_run ~policy ~sink w in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" w.Mcd_workloads.Workload.name label)
+            (Mcd_power.Metrics.encode (plain ()))
+            (Mcd_power.Metrics.encode observed))
+        [
+          ("baseline", `Baseline, fun () -> Runner.baseline w);
+          ("online", `Online, fun () -> Runner.online_run w);
+          ( "profile",
+            `Profile,
+            fun () ->
+              (Runner.profile_run w ~context:Mcd_profiling.Context.lf
+                 ~train:`Train)
+                .Runner.run );
+        ])
+    [ generated; Mcd_workloads.Mediabench.adpcm_decode ]
+
 let suite =
   [
     ("ring basic", `Quick, test_ring_basic);
@@ -420,4 +454,5 @@ let suite =
     ("export one-sample series", `Quick, test_export_one_sample_series);
     ("export histogram arity", `Quick, test_export_histogram_arity);
     ("traced profile run", `Slow, test_traced_profile_run);
+    ("observed run equals plain run", `Slow, test_observed_run_equals_plain);
   ]

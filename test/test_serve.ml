@@ -291,6 +291,89 @@ let test_request_normalization_digests () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown workload digested"
 
+(* Pinned served and run keys. A served request's digest is the store
+   address of the run it names, so a change here strands every stored
+   result and every journal entry: key fragments may be derived faster,
+   never differently. *)
+let served_key_pins =
+  [
+    ("adpcm decode", Protocol.Baseline, "80430514fd818eef62816b70f0b28d6d");
+    ("adpcm decode", Protocol.Online, "557f8ea4604bc641124466fa8a161cd4");
+    ("adpcm decode", Protocol.Offline, "1f886cd9f7139919fbff9b5b4e4ab10a");
+    ("adpcm decode", Protocol.Profile, "643f3ef71c5b4fe9b426ed25b4333b2b");
+    ("adpcm encode", Protocol.Baseline, "a17b65f57c1f2e1d2f4df409ce9d6c92");
+    ("adpcm encode", Protocol.Online, "af18ff138563ac73d69060564b6c6115");
+    ("adpcm encode", Protocol.Offline, "2d659faf613334f9488ef1e54479fcd6");
+    ("adpcm encode", Protocol.Profile, "727d744e4e408a324e9684662a326a81");
+    ("applu", Protocol.Baseline, "0d62796a078cd33dd4ea3cbb8aebb5bf");
+    ("applu", Protocol.Online, "0c2c5acfad8fd3e28c3a7ccb809c00c5");
+    ("applu", Protocol.Offline, "eb915906b5b36ca13dcb0818e1afbd04");
+    ("applu", Protocol.Profile, "82421e19d83c06201b3ed52297ae89a0");
+  ]
+
+(* [Runner.policy_key] on adpcm decode, by registry label *)
+let policy_key_pins =
+  [
+    ("baseline", "80430514fd818eef62816b70f0b28d6d");
+    ("online", "557f8ea4604bc641124466fa8a161cd4");
+    ("online-eager", "2de2e0cdd419ad3667e82a1a84d117fa");
+    ("pid", "cc1b3408c93f88fb9e1e42d669768a24");
+    ("cache-aware", "523025d68e6a4a6dccfc11a79b4c65d2");
+    ("util-prop", "dc7a55183e039dbd6fad9d7cb0ec5bde");
+    ("fixed-750", "489816c19f92992963797ed8a16c5a86");
+  ]
+
+let served_digest (workload, policy, _) =
+  match
+    Mcd_serve.Server.request_digest
+      (Protocol.request ~policy ~context:"L+F" ~slowdown_pct:7.0 workload)
+  with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "request_digest %s: %s" workload e
+
+let pinned_policy_keys () =
+  List.map
+    (fun (p : Mcd_control.Policy.t) ->
+      ( p.Mcd_control.Policy.label,
+        Mcd_cache.Key.digest
+          (Mcd_experiments.Runner.policy_key p Mcd_workloads.Mediabench.adpcm_decode) ))
+    (Mcd_control.Policies.all ())
+
+let test_served_keys_pinned () =
+  (* twice: the second pass reads whatever the first one memoized *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun ((w, p, want) as pin) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s" w (Protocol.policy_name p))
+          want (served_digest pin))
+      served_key_pins;
+    Alcotest.(check (list (pair string string)))
+      "policy keys" policy_key_pins (pinned_policy_keys ())
+  done;
+  let module Runner = Mcd_experiments.Runner in
+  let mode = Runner.get_sim_mode () in
+  Fun.protect
+    ~finally:(fun () -> Runner.set_sim_mode mode)
+    (fun () ->
+      Runner.set_sim_mode (Runner.Sampled Mcd_cpu.Sampler.default_params);
+      Alcotest.(check string)
+        "sampled profile" "c846e2a80947c5d763600b5afc5f2a4d"
+        (served_digest ("adpcm decode", Protocol.Profile, "")))
+
+let test_served_keys_pinned_across_domains () =
+  (* every worker domain derives every key from its own memo tables *)
+  let derive () =
+    (List.map served_digest served_key_pins, pinned_policy_keys ())
+  in
+  let want = (List.map (fun (_, _, d) -> d) served_key_pins, policy_key_pins) in
+  List.iteri
+    (fun i got ->
+      Alcotest.(check (pair (list string) (list (pair string string))))
+        (Printf.sprintf "derivation %d" i)
+        want got)
+    (Mcd_util.Par.map ~jobs:4 derive (List.init 8 (fun _ -> ())))
+
 let test_error_of_reject_exit_codes () =
   let code r = Error.exit_code (Protocol.error_of_reject r) in
   Alcotest.(check int) "overloaded -> 4" 4
@@ -1077,6 +1160,154 @@ let test_client_refuses_hostile_frames () =
       Alcotest.failf "Pipeline.connect to mcd-serve/2: %s" (Error.to_string e)
   | Ok _ -> Alcotest.fail "Pipeline.connect accepted mcd-serve/2"
 
+(* --- command framing on a live server ----------------------------------- *)
+
+(* [f socket] against a real daemon, spawned through the CLI (a test
+   process that has run domains cannot fork), drained (or, failing that,
+   killed) and reaped afterwards. *)
+let with_daemon f =
+  let module Client = Mcd_serve.Client in
+  incr peer_count;
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mcd-frame-%d-%d.sock" (Unix.getpid ()) !peer_count)
+  in
+  let pid =
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close devnull) @@ fun () ->
+    Unix.create_process Helpers.cli_exe
+      [|
+        Helpers.cli_exe; "serve"; "--socket"; socket; "--workers"; "1";
+        "--no-journal";
+      |]
+      devnull devnull devnull
+  in
+  let rec ready tries =
+    match Client.connect ~socket with
+    | Ok c -> Client.close c
+    | Error e ->
+        if tries = 0 then
+          Alcotest.failf "daemon never came up: %s" (Error.to_string e);
+        Unix.sleepf 0.02;
+        ready (tries - 1)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (match Client.connect ~socket with
+      | Ok c ->
+          ignore (Client.drain c);
+          Client.close c
+      | Error _ -> Unix.kill pid Sys.sigkill);
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      ready 500;
+      f socket)
+
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (fd, Protocol.Frames.create ())
+
+(* The next reply frame, [None] once the server has closed the
+   connection; fails after 10 s of silence. *)
+let next_frame (fd, frames) =
+  let buf = Bytes.create 65536 in
+  let rec go () =
+    match Protocol.Frames.next frames with
+    | `Frame f -> Some f
+    | `Error e -> Alcotest.failf "reply framing: %s" e
+    | `Await -> (
+        if
+          Mcd_serve.Evloop.wait_fd fd ~read:true ~write:false
+            ~timeout_ms:10_000
+          = None
+        then Alcotest.fail "no reply within 10 s";
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> None
+        | n ->
+            Protocol.Frames.feed frames (Bytes.sub_string buf 0 n);
+            go ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None)
+  in
+  go ()
+
+let expect_pong conn i =
+  match next_frame conn with
+  | Some { Protocol.Frames.reply = Protocol.Pong; seq = Some s; _ } when s = i
+    ->
+      ()
+  | Some { Protocol.Frames.reply; seq; _ } ->
+      Alcotest.failf "command %d answered %s (seq %s)" i
+        (Protocol.render_reply reply)
+        (Option.fold ~none:"none" ~some:string_of_int seq)
+  | None -> Alcotest.failf "connection closed before command %d" i
+
+let expect_greeting conn =
+  match next_frame conn with
+  | Some { Protocol.Frames.reply = Protocol.Ready _; _ } -> ()
+  | _ -> Alcotest.fail "no greeting"
+
+(* One write carrying thousands of pipelined commands, cut mid-line, is
+   answered command by command in order, the cut one once its line
+   completes; a partial line past the server's 64 KiB cap is refused and
+   closes its own connection only. *)
+let test_server_framing () =
+  with_daemon @@ fun socket ->
+  let n = 3000 in
+  let conn = raw_connect socket in
+  let fd = fst conn in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  expect_greeting conn;
+  let last = Protocol.render_command ~seq:(n + 1) Protocol.Ping ^ "\n" in
+  let cut = String.length last / 2 in
+  let batch =
+    String.concat ""
+      (List.init n (fun i ->
+           Protocol.render_command ~seq:(i + 1) Protocol.Ping ^ "\n"))
+    ^ String.sub last 0 cut
+  in
+  ignore (Unix.write_substring fd batch 0 (String.length batch));
+  for i = 1 to n do
+    expect_pong conn i
+  done;
+  Alcotest.(check bool)
+    "the cut command waits for its newline" true
+    (Protocol.Frames.buffered (snd conn) = 0
+    && Mcd_serve.Evloop.wait_fd fd ~read:true ~write:false ~timeout_ms:50
+       = None);
+  ignore
+    (Unix.write_substring fd last cut (String.length last - cut));
+  expect_pong conn (n + 1);
+  let bystander = raw_connect socket in
+  let long = raw_connect socket in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close (fst bystander);
+      Unix.close (fst long))
+  @@ fun () ->
+  expect_greeting bystander;
+  expect_greeting long;
+  let flood = String.make ((64 * 1024) + 1024) 'x' in
+  ignore (Unix.write_substring (fst long) flood 0 (String.length flood));
+  (match next_frame long with
+  | Some
+      {
+        Protocol.Frames.reply =
+          Protocol.Rejected (Protocol.Bad_request "command line too long");
+        _;
+      } ->
+      ()
+  | Some { Protocol.Frames.reply; _ } ->
+      Alcotest.failf "over-long line answered %s" (Protocol.render_reply reply)
+  | None -> Alcotest.fail "over-long line closed without a refusal");
+  Alcotest.(check bool)
+    "the over-long line's connection closes" true
+    (next_frame long = None);
+  let ping = Protocol.render_command ~seq:1 Protocol.Ping ^ "\n" in
+  ignore (Unix.write_substring (fst bystander) ping 0 (String.length ping));
+  expect_pong bystander 1
+
 let suite =
   [
     ("protocol command roundtrip", `Quick, test_command_roundtrip);
@@ -1086,6 +1317,10 @@ let suite =
     qcheck prop_frames_roundtrip;
     ("frames oversized rejected", `Quick, test_frames_oversized_rejected);
     ("request digests normalize", `Quick, test_request_normalization_digests);
+    ("served and run keys pinned", `Quick, test_served_keys_pinned);
+    ( "served keys pinned across domains",
+      `Quick,
+      test_served_keys_pinned_across_domains );
     ("reject exit codes", `Quick, test_error_of_reject_exit_codes);
     ("jobq priority fifo", `Quick, test_jobq_priority_fifo);
     ("jobq bounds", `Quick, test_jobq_bounds);
@@ -1117,4 +1352,5 @@ let suite =
     ( "client refuses hostile frames",
       `Quick,
       test_client_refuses_hostile_frames );
+    ("server framing is linear and capped", `Quick, test_server_framing);
   ]

@@ -95,10 +95,10 @@ let load_spec path =
 (* The single authoritative exit-code table (mirrors
    Mcd_robust.Error.exit_code). Defined once and threaded through every
    subcommand's info via [cmd_info], so each man page documents the
-   same codes and none can drift. *)
+   same codes and none can drift. [Cmd.Exit.defaults] supplies 0
+   (success) and cmdliner's own 123-125, so they are not repeated. *)
 let exits =
-  Cmd.Exit.info 0 ~doc:"on success."
-  :: Cmd.Exit.info 1 ~doc:"on a robustness campaign failure."
+  Cmd.Exit.info 1 ~doc:"on a robustness campaign failure."
   :: Cmd.Exit.info 2
        ~doc:"on a validation error (rejected plan, malformed request)."
   :: Cmd.Exit.info 3

@@ -11,18 +11,24 @@ let create ~count ~latency_cycles ~pipelined =
 
 let try_issue t ~now ~period_ps =
   let n = Array.length t.next_free in
-  let rec find i =
-    if i >= n then None
-    else if t.next_free.(i) <= now then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-      let completion = now + (t.latency * period_ps) in
-      t.next_free.(i) <- (if t.pipelined then now + period_ps else completion);
-      t.ops <- t.ops + 1;
-      Some completion
+  let i = ref 0 in
+  while !i < n && t.next_free.(!i) > now do
+    incr i
+  done;
+  if !i >= n then -1
+  else begin
+    let completion = now + (t.latency * period_ps) in
+    t.next_free.(!i) <- (if t.pipelined then now + period_ps else completion);
+    t.ops <- t.ops + 1;
+    completion
+  end
+
+let next_free t =
+  let earliest = ref max_int in
+  for i = 0 to Array.length t.next_free - 1 do
+    if t.next_free.(i) < !earliest then earliest := t.next_free.(i)
+  done;
+  !earliest
 
 let latency_cycles t = t.latency
 let operations t = t.ops

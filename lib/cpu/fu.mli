@@ -9,11 +9,14 @@ type t
 
 val create : count:int -> latency_cycles:int -> pipelined:bool -> t
 
-val try_issue :
-  t -> now:Mcd_util.Time.t -> period_ps:int -> Mcd_util.Time.t option
+val try_issue : t -> now:Mcd_util.Time.t -> period_ps:int -> Mcd_util.Time.t
 (** Attempt to claim a unit at [now] in a domain whose current period is
-    [period_ps]. Returns the completion time of the operation, or [None]
+    [period_ps]. Returns the completion time of the operation, or [-1]
     if every unit is busy. *)
+
+val next_free : t -> Mcd_util.Time.t
+(** The earliest time at which some unit accepts work. Only an issue
+    moves it. *)
 
 val latency_cycles : t -> int
 val operations : t -> int

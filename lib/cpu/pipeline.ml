@@ -49,6 +49,37 @@ let sentinel =
     mispredicted = false;
   }
 
+(* What the last scan of one queue found, for skipping the next. A scan
+   is known to change nothing, and to evaluate no [result_arrival] for
+   the first time, while the queue has had no push, no instruction has
+   become [Completed] since [completions_at] (the pipeline's count when
+   that scan began), and [now] is before [until], the earliest time at
+   which a kept entry could change. A push sets [completions_at] to -1. *)
+type quiet = {
+  mutable completions_at : int;
+  mutable until : Time.t;
+  mutable count : int; (* the occupancy scan's answer *)
+}
+
+type queue = {
+  entries : inflight Agequeue.t; (* program order, oldest first *)
+  issue : quiet; (* the issue scan, [tick_queue] *)
+  occupancy : quiet; (* [sample_stage]'s owned-entry count *)
+}
+
+let make_queue ~capacity =
+  let quiet () = { completions_at = -1; until = 0; count = 0 } in
+  {
+    entries = Agequeue.create ~capacity ~dummy:sentinel;
+    issue = quiet ();
+    occupancy = quiet ();
+  }
+
+let enqueue q inf =
+  Agequeue.push q.entries inf;
+  q.issue.completions_at <- -1;
+  q.occupancy.completions_at <- -1
+
 let exec_domain_of (klass : Inst.iclass) =
   match klass with
   | Inst.Int_alu | Inst.Int_mult | Inst.Branch -> Domain.Integer
@@ -79,9 +110,10 @@ type t = {
   mutable rob_count : int;
   fetch_buf : inflight Queue.t;
   mutable fetch_buf_count : int;
-  iq_int : inflight Agequeue.t; (* program order, oldest first *)
-  iq_fp : inflight Agequeue.t;
-  lsq : inflight Agequeue.t;
+  iq_int : queue;
+  iq_fp : queue;
+  lsq : queue;
+  mutable completions : int; (* instructions that became [Completed] *)
   mutable dep_scratch : int array; (* reused by dep_seqs_of *)
   reg_src : inflight array; (* logical register -> youngest producer *)
   mutable int_renames : int;
@@ -148,8 +180,7 @@ let create ?probe ?(controller = Controller.nop) ?sink ?sampling
   let mk_clock domain =
     Clock.create ~jitter_sigma_ps:jitter_sigma
       ~rng:(Rng.split rng ~label:(Domain.name domain))
-      ~freq_mhz:(fun ~now -> Dvfs.current_mhz dvfs domain ~now)
-      ()
+      ~dvfs ~domain ()
   in
   let single, clocks =
     match cfg.clocking with
@@ -193,9 +224,10 @@ let create ?probe ?(controller = Controller.nop) ?sink ?sampling
     rob_count = 0;
     fetch_buf = Queue.create ();
     fetch_buf_count = 0;
-    iq_int = Agequeue.create ~capacity:cfg.iq_int_size ~dummy:sentinel;
-    iq_fp = Agequeue.create ~capacity:cfg.iq_fp_size ~dummy:sentinel;
-    lsq = Agequeue.create ~capacity:cfg.lsq_size ~dummy:sentinel;
+    iq_int = make_queue ~capacity:cfg.iq_int_size;
+    iq_fp = make_queue ~capacity:cfg.iq_fp_size;
+    lsq = make_queue ~capacity:cfg.lsq_size;
+    completions = 0;
     dep_scratch = Array.make 8 0;
     reg_src = Array.make Inst.num_logical_regs sentinel;
     int_renames = 0;
@@ -280,15 +312,15 @@ let cross_arrival t ~producer ~consumer ~when_ =
   else
     match t.sink with
     | None ->
-        Sync.arrival ~stats:t.sync_stats ~consumer:(clock t consumer)
+        Sync.arrival t.sync_stats ~consumer:(clock t consumer)
           ~producer_period_ps:(period t producer ~now:when_)
-          ~t:when_ ()
+          ~t:when_
     | Some sink ->
         let penalties_before = t.sync_stats.Sync.penalties in
         let a =
-          Sync.arrival ~stats:t.sync_stats ~consumer:(clock t consumer)
+          Sync.arrival t.sync_stats ~consumer:(clock t consumer)
             ~producer_period_ps:(period t producer ~now:when_)
-            ~t:when_ ()
+            ~t:when_
         in
         if t.sync_stats.Sync.penalties <> penalties_before then
           Sink.sync_penalty sink ~t_ps:when_ ~domain:(Domain.index consumer);
@@ -311,18 +343,33 @@ let result_arrival t inf domain =
     end
   end
 
-let producers_ready t inf ~domain ~now =
-  let n = Array.length inf.producers in
-  let rec go i =
-    if i >= n then true
-    else
-      let p = inf.producers.(i) in
-      (p == sentinel
-      || ((p.state = Completed || p.state = Retired_inst)
-         && result_arrival t p domain <= now))
-      && go (i + 1)
-  in
-  go 0
+(* When [inf]'s producers are all ready in [domain]: [now] when they
+   are; otherwise the cached arrival of the first producer that has
+   completed but not yet arrived, or [max_int] when the first blocker
+   has not completed (only a completion changes that). Producers are
+   walked in order and the walk stops at the first blocker: a first
+   [result_arrival] has effects, so where it stops is part of the run. *)
+let ready_at t inf ~domain ~now =
+  let producers = inf.producers in
+  let n = Array.length producers in
+  let i = ref 0 and at = ref now in
+  while !i < n do
+    let p = producers.(!i) in
+    if p == sentinel then incr i
+    else if p.state = Completed || p.state = Retired_inst then begin
+      let a = result_arrival t p domain in
+      if a <= now then incr i
+      else begin
+        at := a;
+        i := n
+      end
+    end
+    else begin
+      at := max_int;
+      i := n
+    end
+  done;
+  !at
 
 let emit_event t inf stage ~start ~duration ~deps =
   match t.probe with
@@ -441,12 +488,15 @@ let retire_stage t ~now =
     else continue_ := false
   done
 
-let queue_has_space t domain =
+let queue t domain =
   match domain with
-  | Domain.Integer -> not (Agequeue.is_full t.iq_int)
-  | Domain.Floating -> not (Agequeue.is_full t.iq_fp)
-  | Domain.Memory -> not (Agequeue.is_full t.lsq)
+  | Domain.Integer -> t.iq_int
+  | Domain.Floating -> t.iq_fp
+  | Domain.Memory -> t.lsq
   | Domain.Front_end -> assert false
+
+let queue_has_space t domain =
+  not (Agequeue.is_full (queue t domain).entries)
 
 let rename_has_space t inf =
   let dst = inf.di.Inst.dst in
@@ -484,17 +534,13 @@ let dispatch_stage t ~now =
       cand.state <- In_queue;
       Queue.push cand t.rob;
       t.rob_count <- t.rob_count + 1;
-      (match cand.exec_domain with
-      | Domain.Integer ->
-          Agequeue.push t.iq_int cand;
-          charge t ~now Energy.Iq_write_int
-      | Domain.Floating ->
-          Agequeue.push t.iq_fp cand;
-          charge t ~now Energy.Iq_write_fp
-      | Domain.Memory ->
-          Agequeue.push t.lsq cand;
-          charge t ~now Energy.Lsq_op
-      | Domain.Front_end -> assert false);
+      enqueue (queue t cand.exec_domain) cand;
+      charge t ~now
+        (match cand.exec_domain with
+        | Domain.Integer -> Energy.Iq_write_int
+        | Domain.Floating -> Energy.Iq_write_fp
+        | Domain.Memory -> Energy.Lsq_op
+        | Domain.Front_end -> assert false);
       charge t ~now Energy.Decode_rename;
       charge t ~now Energy.Rob_write;
       emit_event t cand Probe.Dispatch_s ~start:now ~duration:p ~deps:[||];
@@ -505,9 +551,9 @@ let dispatch_stage t ~now =
 
 let next_stream_event t =
   match t.pushback with
-  | Some ev ->
+  | Some _ as ev ->
       t.pushback <- None;
-      Some ev
+      ev
   | None -> Walker.next t.walker
 
 (* Handle an I-cache access for a new fetch line. Returns true if the
@@ -690,12 +736,12 @@ let do_skip t s (m : Sampler.measure) =
     | Some (Walker.Inst di) ->
         warm_inst t di;
         incr skipped
-    | Some (Walker.Marker mk) -> (
+    | Some (Walker.Marker mk) as ev -> (
         match mk with
         | Walker.Enter_func _ | Walker.Enter_loop _ -> incr depth
         | Walker.Exit_func _ | Walker.Exit_loop _ ->
             decr depth;
-            if !depth = 0 then t.pushback <- Some (Walker.Marker mk))
+            if !depth = 0 then t.pushback <- ev)
   done;
   extrapolate t s m ~skipped:!skipped
 
@@ -713,14 +759,14 @@ let do_skip_iters t s (m : Sampler.measure) ~loop_id ~bound =
     | None ->
         t.walker_done <- true;
         continue_ := false
-    | Some (Walker.Inst di) -> (
+    | Some (Walker.Inst di) as ev -> (
         match Walker.as_loop_branch ~pc:di.Inst.static_id with
         | Some l
           when !depth = 0 && l = loop_id
                && ((not di.Inst.taken) || !skipped >= bound) ->
             (* final back edge (loop over) or bucket edge reached:
                push the boundary branch back and resume exactly *)
-            t.pushback <- Some (Walker.Inst di);
+            t.pushback <- ev;
             continue_ := false
         | Some _ | None ->
             warm_inst t di;
@@ -733,8 +779,65 @@ let do_skip_iters t s (m : Sampler.measure) ~loop_id ~bound =
   extrapolate t s m ~skipped:!skipped;
   Sampler.note_iter_boundary s
 
+(* Fetch one instruction into the fetch buffer. Returns false when fetch
+   must stop for this cycle: the instruction is a mispredicted branch
+   (fetch waits for its redirect) or its line missed in the I-cache. *)
+let fetch_inst t (di : Inst.dyn) ~now ~p =
+  (* I-cache: access once per new line *)
+  let line = di.Inst.static_id lsr 4 in
+  let line_hit =
+    if line = t.last_fetch_line then true
+    else begin
+      t.last_fetch_line <- line;
+      icache_access t ~now ~pc:di.Inst.static_id
+    end
+  in
+  let mispredicted =
+    di.Inst.klass = Inst.Branch
+    && not
+         (Branch_pred.predict_and_update t.bpred ~pc:di.Inst.static_id
+            ~taken:di.Inst.taken)
+  in
+  let inf =
+    {
+      di;
+      state = In_fetch_buffer;
+      fetched_at = now;
+      queued_at = now;
+      completion = max_int;
+      exec_domain = exec_domain_of di.Inst.klass;
+      producers = [||];
+      arrivals = [| -1; -1; -1; -1 |];
+      mispredicted;
+    }
+  in
+  Queue.push inf t.fetch_buf;
+  t.fetch_buf_count <- t.fetch_buf_count + 1;
+  t.stream_pos <- t.stream_pos + 1;
+  (match t.sampler with Some s -> Sampler.note_inst s | None -> ());
+  charge t ~now Energy.Fetch;
+  (* control dependence: the first fetch after a mispredict recovery
+     depends on the resolving branch; an I-cache miss extends the fetch
+     event across the fill *)
+  let fetch_deps =
+    if t.redirect_dep >= 0 then begin
+      let d = [| t.redirect_dep |] in
+      t.redirect_dep <- -1;
+      d
+    end
+    else [||]
+  in
+  let fetch_dur = if line_hit then p else max p (t.fetch_resume - now) in
+  emit_event t inf Probe.Fetch_s ~start:now ~duration:fetch_dur
+    ~deps:fetch_deps;
+  if mispredicted then begin
+    t.pending_redirect <- Some inf;
+    false
+  end
+  else line_hit
+
 let fetch_stage t ~now =
-  if now >= t.fetch_resume && t.pending_redirect = None then begin
+  if now >= t.fetch_resume && Option.is_none t.pending_redirect then begin
     let p = period t Domain.Front_end ~now in
     let slots = ref t.cfg.fetch_width in
     let continue_ = ref true in
@@ -743,7 +846,7 @@ let fetch_stage t ~now =
       | None ->
           t.walker_done <- true;
           continue_ := false
-      | Some (Walker.Marker m) -> (
+      | Some (Walker.Marker m) as ev -> (
           match t.sampler with
           | None -> if process_marker t m ~now then continue_ := false
           | Some s -> (
@@ -755,7 +858,7 @@ let fetch_stage t ~now =
               | Sampler.Proceed ->
                   if process_marker t m ~now then continue_ := false
               | Sampler.Wait ->
-                  t.pushback <- Some (Walker.Marker m);
+                  t.pushback <- ev;
                   continue_ := false
               | Sampler.Record ->
                   let stalled = process_marker t m ~now in
@@ -771,146 +874,127 @@ let fetch_stage t ~now =
                   continue_ := false
               | Sampler.Skip_iters _ ->
                   assert false (* only decide_backedge answers this *)))
-      | Some (Walker.Inst di) ->
+      | Some (Walker.Inst di) as ev ->
           if t.fetch_buf_count >= fetch_buffer_cap then begin
             (* capacity check first: a pushback here re-presents the
                instruction, so the sampler must not see it yet (its
                boundary accounting is once per event) *)
-            t.pushback <- Some (Walker.Inst di);
+            t.pushback <- ev;
             continue_ := false
           end
           else begin
-          let fetch_it () =
-            (* I-cache: access once per new line *)
-            let line = di.Inst.static_id lsr 4 in
-            let line_hit =
-              if line = t.last_fetch_line then true
-              else begin
-                t.last_fetch_line <- line;
-                icache_access t ~now ~pc:di.Inst.static_id
-              end
+            let fetched =
+              match t.sampler with
+              | None -> fetch_inst t di ~now ~p
+              | Some s -> (
+                  match Walker.as_loop_branch ~pc:di.Inst.static_id with
+                  | None -> fetch_inst t di ~now ~p
+                  | Some loop_id -> (
+                      let drained =
+                        t.rob_count = 0 && t.fetch_buf_count = 0
+                      in
+                      match
+                        Sampler.decide_backedge s ~loop_id
+                          ~taken:di.Inst.taken ~drained
+                          ~measuring:t.measuring
+                          ~targets:(fun () -> current_targets t)
+                      with
+                      | Sampler.Proceed -> fetch_inst t di ~now ~p
+                      | Sampler.Wait ->
+                          t.pushback <- ev;
+                          false
+                      | Sampler.Record ->
+                          Sampler.begin_record s
+                            ~snapshot:(sampler_snapshot t ~now);
+                          fetch_inst t di ~now ~p
+                      | Sampler.End_record ->
+                          Sampler.end_record s
+                            ~snapshot:(sampler_snapshot t ~now)
+                            ~targets:(current_targets t);
+                          fetch_inst t di ~now ~p
+                      | Sampler.Skip _ ->
+                          assert false (* only decide (markers) answers this *)
+                      | Sampler.Skip_iters (measure, bound) ->
+                          do_skip_iters t s measure ~loop_id ~bound;
+                          false))
             in
-            let mispredicted =
-              di.Inst.klass = Inst.Branch
-              && not
-                   (Branch_pred.predict_and_update t.bpred
-                      ~pc:di.Inst.static_id ~taken:di.Inst.taken)
-            in
-            let inf =
-              {
-                di;
-                state = In_fetch_buffer;
-                fetched_at = now;
-                queued_at = now;
-                completion = max_int;
-                exec_domain = exec_domain_of di.Inst.klass;
-                producers = [||];
-                arrivals = [| -1; -1; -1; -1 |];
-                mispredicted;
-              }
-            in
-            Queue.push inf t.fetch_buf;
-            t.fetch_buf_count <- t.fetch_buf_count + 1;
-            t.stream_pos <- t.stream_pos + 1;
-            (match t.sampler with
-            | Some s -> Sampler.note_inst s
-            | None -> ());
-            charge t ~now Energy.Fetch;
-            (* control dependence: the first fetch after a mispredict
-               recovery depends on the resolving branch; an I-cache miss
-               extends the fetch event across the fill *)
-            let fetch_deps =
-              if t.redirect_dep >= 0 then begin
-                let d = [| t.redirect_dep |] in
-                t.redirect_dep <- -1;
-                d
-              end
-              else [||]
-            in
-            let fetch_dur =
-              if line_hit then p else max p (t.fetch_resume - now)
-            in
-            emit_event t inf Probe.Fetch_s ~start:now ~duration:fetch_dur
-              ~deps:fetch_deps;
-            if mispredicted then begin
-              t.pending_redirect <- Some inf;
-              continue_ := false
-            end
-            else if not line_hit then continue_ := false
-            else decr slots
-          in
-          match t.sampler with
-          | None -> fetch_it ()
-          | Some s -> (
-              match Walker.as_loop_branch ~pc:di.Inst.static_id with
-              | None -> fetch_it ()
-              | Some loop_id -> (
-                  let drained = t.rob_count = 0 && t.fetch_buf_count = 0 in
-                  match
-                    Sampler.decide_backedge s ~loop_id ~taken:di.Inst.taken
-                      ~drained ~measuring:t.measuring
-                      ~targets:(fun () -> current_targets t)
-                  with
-                  | Sampler.Proceed -> fetch_it ()
-                  | Sampler.Wait ->
-                      t.pushback <- Some (Walker.Inst di);
-                      continue_ := false
-                  | Sampler.Record ->
-                      Sampler.begin_record s
-                        ~snapshot:(sampler_snapshot t ~now);
-                      fetch_it ()
-                  | Sampler.End_record ->
-                      Sampler.end_record s ~snapshot:(sampler_snapshot t ~now)
-                        ~targets:(current_targets t);
-                      fetch_it ()
-                  | Sampler.Skip _ ->
-                      assert false (* only decide (markers) answers this *)
-                  | Sampler.Skip_iters (measure, bound) ->
-                      do_skip_iters t s measure ~loop_id ~bound;
-                      continue_ := false))
+            if fetched then decr slots else continue_ := false
           end
     done
   end
 
+(* A scan's record lets the next scan of the same queue be skipped; see
+   [quiet]. The skipped scan would find what this one found: global
+   [now] never decreases, so a cached arrival at or before it stays
+   there, and entries change only by a push, by a completion or at an
+   [until] time. *)
+let quiet t r ~now = r.completions_at = t.completions && now < r.until
+
+let earlier (a : Time.t) b = if a < b then a else b
+
+(* The occupancy signal counts the backlog the domain itself owns:
+   entries ready to issue, plus entries waiting on a producer that
+   executes in this same domain. Entries stalled on another domain's
+   results say nothing about this domain's speed. The last count is
+   reused while [quiet] holds; its [until] takes the arrival of every
+   completed producer the walk saw still in flight, since any of them
+   can change the count. *)
+let owned_count t q domain ~now =
+  let r = q.occupancy in
+  if quiet t r ~now then r.count
+  else begin
+    let count = ref 0 and until = ref max_int in
+    for k = 0 to Agequeue.length q.entries - 1 do
+      let inf = Agequeue.get q.entries k in
+      if inf.queued_at > now then until := earlier !until inf.queued_at
+      else begin
+        let producers = inf.producers in
+        let n = Array.length producers in
+        let i = ref 0 and owned = ref true in
+        while !i < n do
+          let p = producers.(!i) in
+          let arrival =
+            if p == sentinel then now
+            else if p.state = Completed || p.state = Retired_inst then
+              result_arrival t p domain
+            else max_int
+          in
+          if arrival <= now then incr i
+          else begin
+            until := earlier !until arrival;
+            if p.exec_domain = domain then begin
+              owned := true;
+              i := n
+            end
+            else begin
+              owned := false;
+              incr i
+            end
+          end
+        done;
+        if !owned then incr count
+      end
+    done;
+    r.completions_at <- t.completions;
+    r.until <- !until;
+    r.count <- !count;
+    !count
+  end
+
 let sample_stage t ~now =
   if t.controller.Controller.sample_interval_cycles > 0 then begin
-    (* The occupancy signal counts the backlog the domain itself owns:
-       entries ready to issue, plus entries waiting on a producer that
-       executes in this same domain. Entries stalled on another domain's
-       results say nothing about this domain's speed. *)
-    let ready domain queue =
-      let owned inf =
-        inf.queued_at <= now
-        &&
-        let n = Array.length inf.producers in
-        let rec go i all_ready =
-          if i >= n then all_ready
-          else
-            let p = inf.producers.(i) in
-            if
-              p == sentinel
-              || ((p.state = Completed || p.state = Retired_inst)
-                 && result_arrival t p domain <= now)
-            then go (i + 1) all_ready
-            else if p.exec_domain = domain then true
-            else go (i + 1) false
-        in
-        go 0 true
-      in
-      Agequeue.fold (fun acc inf -> if owned inf then acc + 1 else acc) 0 queue
-    in
     t.occ_sum.(Domain.index Domain.Front_end) <-
       t.occ_sum.(Domain.index Domain.Front_end)
       +. float_of_int t.fetch_buf_count;
     t.occ_sum.(Domain.index Domain.Integer) <-
       t.occ_sum.(Domain.index Domain.Integer)
-      +. float_of_int (ready Domain.Integer t.iq_int);
+      +. float_of_int (owned_count t t.iq_int Domain.Integer ~now);
     t.occ_sum.(Domain.index Domain.Floating) <-
       t.occ_sum.(Domain.index Domain.Floating)
-      +. float_of_int (ready Domain.Floating t.iq_fp);
+      +. float_of_int (owned_count t t.iq_fp Domain.Floating ~now);
     t.occ_sum.(Domain.index Domain.Memory) <-
       t.occ_sum.(Domain.index Domain.Memory)
-      +. float_of_int (ready Domain.Memory t.lsq);
+      +. float_of_int (owned_count t t.lsq Domain.Memory ~now);
     t.occ_ticks <- t.occ_ticks + 1;
     let front_cycles = Clock.cycles (clock t Domain.Front_end) in
     if front_cycles >= t.next_sample_cycle then begin
@@ -983,11 +1067,11 @@ let obs_stage t ~now =
         t.obs_occ.(Domain.index Domain.Front_end) <-
           float_of_int t.fetch_buf_count;
         t.obs_occ.(Domain.index Domain.Integer) <-
-          float_of_int (Agequeue.length t.iq_int);
+          float_of_int (Agequeue.length t.iq_int.entries);
         t.obs_occ.(Domain.index Domain.Floating) <-
-          float_of_int (Agequeue.length t.iq_fp);
+          float_of_int (Agequeue.length t.iq_fp.entries);
         t.obs_occ.(Domain.index Domain.Memory) <-
-          float_of_int (Agequeue.length t.lsq);
+          float_of_int (Agequeue.length t.lsq.entries);
         for i = 0 to Domain.count do
           let pj =
             if i < Domain.count then
@@ -1014,7 +1098,7 @@ let tick_front t ~now =
   obs_stage t ~now
 
 (* ------------------------------------------------------------------ *)
-(* Execution domains                                                   *)
+(* Issue: execution and memory domains                                 *)
 (* ------------------------------------------------------------------ *)
 
 let complete_branch t inf ~now =
@@ -1033,100 +1117,123 @@ let complete_branch t inf ~now =
     | Some _ | None -> ()
   end
 
-let tick_exec t domain ~now =
-  let p = period t domain ~now in
-  let budget = ref t.cfg.issue_per_domain in
-  let try_one inf =
-    if !budget = 0 || inf.queued_at > now then true (* keep *)
-    else if not (producers_ready t inf ~domain ~now) then true
+let pool_of t (klass : Inst.iclass) =
+  match klass with
+  | Inst.Int_alu | Inst.Branch -> t.fu_int_alu
+  | Inst.Int_mult -> t.fu_int_mult
+  | Inst.Fp_alu -> t.fu_fp_alu
+  | Inst.Fp_mult -> t.fu_fp_mult
+  | Inst.Load | Inst.Store -> assert false
+
+let issue_exec t inf domain ~now ~completion =
+  inf.completion <- completion;
+  inf.state <- Completed;
+  t.completions <- t.completions + 1;
+  (match domain with
+  | Domain.Integer ->
+      charge t ~now Energy.Issue_int;
+      charge t ~now Energy.Regfile_int;
+      charge t ~now
+        (match inf.di.Inst.klass with
+        | Inst.Int_mult -> Energy.Int_mult_op
+        | Inst.Int_alu | Inst.Branch | Inst.Fp_alu | Inst.Fp_mult | Inst.Load
+        | Inst.Store ->
+            Energy.Int_alu_op)
+  | Domain.Floating ->
+      charge t ~now Energy.Issue_fp;
+      charge t ~now Energy.Regfile_fp;
+      charge t ~now
+        (match inf.di.Inst.klass with
+        | Inst.Fp_mult -> Energy.Fp_mult_op
+        | Inst.Fp_alu | Inst.Int_alu | Inst.Int_mult | Inst.Branch | Inst.Load
+        | Inst.Store ->
+            Energy.Fp_alu_op)
+  | Domain.Memory | Domain.Front_end -> assert false);
+  emit_event t inf Probe.Execute_s ~start:now ~duration:(completion - now)
+    ~deps:(deps_of t inf);
+  if inf.di.Inst.klass = Inst.Branch then complete_branch t inf ~now
+
+let issue_mem t inf ~now ~p =
+  let addr = inf.di.Inst.addr in
+  assert (addr >= 0);
+  charge t ~now Energy.Lsq_op;
+  charge t ~now Energy.L1d_access;
+  let completion =
+    if Cache.access t.l1d ~addr then now + (t.cfg.l1d.Config.latency_cycles * p)
     else begin
-      let pool =
-        match inf.di.Inst.klass with
-        | Inst.Int_alu | Inst.Branch -> t.fu_int_alu
-        | Inst.Int_mult -> t.fu_int_mult
-        | Inst.Fp_alu -> t.fu_fp_alu
-        | Inst.Fp_mult -> t.fu_fp_mult
-        | Inst.Load | Inst.Store -> assert false
+      charge t ~now Energy.L2_access;
+      let l2_done =
+        now
+        + ((t.cfg.l1d.Config.latency_cycles + t.cfg.l2.Config.latency_cycles)
+          * p)
       in
-      match Fu.try_issue pool ~now ~period_ps:p with
-      | None -> true
-      | Some completion ->
-          inf.completion <- completion;
-          inf.state <- Completed;
-          decr budget;
-          (match domain with
-          | Domain.Integer ->
-              charge t ~now Energy.Issue_int;
-              charge t ~now Energy.Regfile_int;
-              charge t ~now
-                (match inf.di.Inst.klass with
-                | Inst.Int_mult -> Energy.Int_mult_op
-                | Inst.Int_alu | Inst.Branch | Inst.Fp_alu | Inst.Fp_mult
-                | Inst.Load | Inst.Store ->
-                    Energy.Int_alu_op)
-          | Domain.Floating ->
-              charge t ~now Energy.Issue_fp;
-              charge t ~now Energy.Regfile_fp;
-              charge t ~now
-                (match inf.di.Inst.klass with
-                | Inst.Fp_mult -> Energy.Fp_mult_op
-                | Inst.Fp_alu | Inst.Int_alu | Inst.Int_mult | Inst.Branch
-                | Inst.Load | Inst.Store ->
-                    Energy.Fp_alu_op)
-          | Domain.Memory | Domain.Front_end -> assert false);
-          emit_event t inf Probe.Execute_s ~start:now
-            ~duration:(completion - now) ~deps:(deps_of t inf);
-          if inf.di.Inst.klass = Inst.Branch then complete_branch t inf ~now;
-          false (* remove from queue *)
+      if Cache.access t.l2 ~addr then l2_done
+      else begin
+        charge t ~now Energy.Main_memory_access;
+        l2_done + Time.ns t.cfg.main_memory_ns
+      end
     end
   in
-  match domain with
-  | Domain.Integer -> Agequeue.filter_in_place try_one t.iq_int
-  | Domain.Floating -> Agequeue.filter_in_place try_one t.iq_fp
-  | Domain.Memory | Domain.Front_end -> assert false
+  inf.completion <- completion;
+  inf.state <- Completed;
+  t.completions <- t.completions + 1;
+  emit_event t inf Probe.Mem_s ~start:now ~duration:(completion - now)
+    ~deps:(deps_of t inf)
 
-(* ------------------------------------------------------------------ *)
-(* Memory domain                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let tick_mem t ~now =
-  let p = period t Domain.Memory ~now in
-  let ports = ref t.cfg.mem_ports in
-  let try_one inf =
-    if !ports = 0 || inf.queued_at > now then true
-    else if not (producers_ready t inf ~domain:Domain.Memory ~now) then true
-    else begin
-      decr ports;
-      let addr = inf.di.Inst.addr in
-      assert (addr >= 0);
-      charge t ~now Energy.Lsq_op;
-      charge t ~now Energy.L1d_access;
-      let completion =
-        if Cache.access t.l1d ~addr then
-          now + (t.cfg.l1d.Config.latency_cycles * p)
-        else begin
-          charge t ~now Energy.L2_access;
-          let l2_done =
-            now
-            + ((t.cfg.l1d.Config.latency_cycles
-               + t.cfg.l2.Config.latency_cycles)
-              * p)
-          in
-          if Cache.access t.l2 ~addr then l2_done
-          else begin
-            charge t ~now Energy.Main_memory_access;
-            l2_done + Time.ns t.cfg.main_memory_ns
-          end
-        end
+(* Oldest-first issue of up to [issue_per_domain] ready entries whose
+   unit pool has a free unit, or of up to [mem_ports] ready loads and
+   stores. A scan that issues nothing records when it could next differ:
+   the earliest [queued_at], blocking arrival or busy pool's
+   [Fu.next_free] among the entries it kept. Until then, with no push
+   and no completion, the tick is skipped whole, including its [period]
+   query: [Clock.advance] repeats that query at the same [now], so the
+   slew ramp is still split at the same points. *)
+let tick_queue t domain ~now =
+  let q = queue t domain in
+  if not (quiet t q.issue ~now) then begin
+    let p = period t domain ~now in
+    let completions = t.completions in
+    let until = ref max_int in
+    let budget =
+      ref
+        (match domain with
+        | Domain.Memory -> t.cfg.mem_ports
+        | Domain.Integer | Domain.Floating | Domain.Front_end ->
+            t.cfg.issue_per_domain)
+    in
+    let i = ref 0 in
+    while !budget > 0 && !i < Agequeue.length q.entries do
+      let inf = Agequeue.get q.entries !i in
+      let ready =
+        if inf.queued_at > now then inf.queued_at
+        else ready_at t inf ~domain ~now
       in
-      inf.completion <- completion;
-      inf.state <- Completed;
-      emit_event t inf Probe.Mem_s ~start:now ~duration:(completion - now)
-        ~deps:(deps_of t inf);
-      false
-    end
-  in
-  Agequeue.filter_in_place try_one t.lsq
+      if ready > now then begin
+        until := earlier !until ready;
+        incr i
+      end
+      else
+        match domain with
+        | Domain.Memory ->
+            Agequeue.remove q.entries !i;
+            decr budget;
+            issue_mem t inf ~now ~p
+        | Domain.Integer | Domain.Floating | Domain.Front_end ->
+            let pool = pool_of t inf.di.Inst.klass in
+            let completion = Fu.try_issue pool ~now ~period_ps:p in
+            if completion < 0 then begin
+              until := earlier !until (Fu.next_free pool);
+              incr i
+            end
+            else begin
+              Agequeue.remove q.entries !i;
+              decr budget;
+              issue_exec t inf domain ~now ~completion
+            end
+    done;
+    q.issue.completions_at <- completions;
+    q.issue.until <- !until
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -1135,7 +1242,7 @@ let tick_mem t ~now =
 let finished t =
   t.retired >= t.warmup_insts + t.max_insts
   || (t.walker_done && t.rob_count = 0 && t.fetch_buf_count = 0
-     && t.pushback = None)
+     && Option.is_none t.pushback)
 
 let metrics t ~now =
   let per_domain =
@@ -1183,13 +1290,14 @@ let run ?probe ?controller ?sink ?sampling ?sampler_report ?warmup_insts
       let edge = Clock.next_edge c in
       now := edge;
       tick_front t ~now:edge;
-      tick_exec t Domain.Integer ~now:edge;
-      tick_exec t Domain.Floating ~now:edge;
-      tick_mem t ~now:edge;
+      tick_queue t Domain.Integer ~now:edge;
+      tick_queue t Domain.Floating ~now:edge;
+      tick_queue t Domain.Memory ~now:edge;
       Clock.advance c;
-      List.iter
-        (fun d -> Energy.Accum.charge_clock_tick t.energy t.dvfs ~now:edge d)
-        Domain.all
+      for i = 0 to Domain.count - 1 do
+        Energy.Accum.charge_clock_tick t.energy t.dvfs ~now:edge
+          (Domain.of_index i)
+      done
     end
     else begin
       (* earliest pending edge among the four domain clocks *)
@@ -1203,9 +1311,8 @@ let run ?probe ?controller ?sink ?sampling ?sampler_report ?warmup_insts
       now := edge;
       (match Domain.of_index !best with
       | Domain.Front_end -> tick_front t ~now:edge
-      | Domain.Integer -> tick_exec t Domain.Integer ~now:edge
-      | Domain.Floating -> tick_exec t Domain.Floating ~now:edge
-      | Domain.Memory -> tick_mem t ~now:edge);
+      | (Domain.Integer | Domain.Floating | Domain.Memory) as d ->
+          tick_queue t d ~now:edge);
       Clock.advance c;
       Energy.Accum.charge_clock_tick t.energy t.dvfs ~now:edge
         (Domain.of_index !best)

@@ -7,25 +7,36 @@ type t = {
   jitter_sigma : float;
   jitter_bound : float;
   rng : Rng.t;
-  freq_mhz : now:Time.t -> float;
+  dvfs : Dvfs.t;
+  domain : Domain.t;
 }
 
 let default_jitter_bound = 110.0
 
-let create ?(jitter_sigma_ps = default_jitter_bound /. 3.0) ~rng ~freq_mhz () =
+let create ?(jitter_sigma_ps = default_jitter_bound /. 3.0) ~rng ~dvfs ~domain
+    () =
   {
     next = Time.zero;
     count = 0;
     jitter_sigma = jitter_sigma_ps;
     jitter_bound = jitter_sigma_ps *. 3.0;
     rng;
-    freq_mhz;
+    dvfs;
+    domain;
   }
 
 let next_edge t = t.next
 let cycles t = t.count
 
-let period_ps t ~now = Freq.period_ps (t.freq_mhz ~now)
+(* The period of each legal step, as [Freq.period_ps] computes it from
+   the operating point a settled ramp rests on. *)
+let step_period_ps =
+  Array.map (fun mhz -> Freq.period_ps (float_of_int mhz)) Freq.steps
+
+let period_ps t ~now =
+  let k = Dvfs.settled_step t.dvfs t.domain ~now in
+  if k >= 0 then step_period_ps.(k)
+  else Freq.period_ps (Dvfs.current_mhz t.dvfs t.domain ~now)
 
 let advance t =
   let now = t.next in
@@ -34,7 +45,13 @@ let advance t =
     if t.jitter_sigma <= 0.0 then 0
     else
       let j = Rng.normal t.rng ~mean:0.0 ~sigma:t.jitter_sigma in
-      let j = Float.max (-.t.jitter_bound) (Float.min t.jitter_bound j) in
+      (* [Float.max (-bound) (Float.min bound j)] for a finite draw,
+         written out so that no float crosses a call *)
+      let j =
+        if j > t.jitter_bound then t.jitter_bound
+        else if j < -.t.jitter_bound then -.t.jitter_bound
+        else j
+      in
       int_of_float j
   in
   let step = max 1 (period + jitter) in

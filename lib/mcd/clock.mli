@@ -11,12 +11,13 @@ type t
 val create :
   ?jitter_sigma_ps:float ->
   rng:Mcd_util.Rng.t ->
-  freq_mhz:(now:Mcd_util.Time.t -> float) ->
+  dvfs:Dvfs.t ->
+  domain:Domain.t ->
   unit ->
   t
-(** [freq_mhz] supplies the instantaneous frequency (typically a closure
-    over {!Dvfs}). Jitter defaults to the paper's 110 ps bound, modelled
-    as a normal with sigma = 110/3 ps clamped to the bound. *)
+(** A clock at [domain]'s instantaneous {!Dvfs} frequency. Jitter
+    defaults to the paper's 110 ps bound, modelled as a normal with
+    sigma = 110/3 ps clamped to the bound. *)
 
 val next_edge : t -> Mcd_util.Time.t
 (** Time of the next pending edge. *)
@@ -29,7 +30,9 @@ val cycles : t -> int
 (** Number of edges consumed so far. *)
 
 val period_ps : t -> now:Mcd_util.Time.t -> int
-(** Nominal period at the instantaneous frequency. *)
+(** Nominal period at the instantaneous frequency. While the domain's
+    ramp is settled it is read from a per-step table
+    ({!Dvfs.settled_step}). *)
 
 val project_edge : t -> at_or_after:Mcd_util.Time.t -> Mcd_util.Time.t
 (** First edge at or after the given time, projected with the current

@@ -3,6 +3,7 @@ module Time = Mcd_util.Time
 type dstate = {
   mutable current : float; (* MHz *)
   mutable target : float;
+  mutable settled : int; (* [target]'s step while [current] is on it; else -1 *)
   mutable last : Time.t;
   mutable stuck : bool; (* ignores set_target entirely *)
   mutable frozen : bool; (* accepts targets but the ramp never moves *)
@@ -21,11 +22,18 @@ let create () =
           {
             current = float_of_int Freq.fmax_mhz;
             target = float_of_int Freq.fmax_mhz;
+            settled = Freq.index_of Freq.fmax_mhz;
             last = Time.zero;
             stuck = false;
             frozen = false;
           });
   }
+
+(* Every write to [current] or [target] is followed by this. *)
+let resettle ds =
+  ds.settled <-
+    (if ds.current = ds.target then Freq.index_of (int_of_float ds.target)
+     else -1)
 
 (* Queries at times earlier than the last observation (e.g. projecting
    the arrival of a result produced in the past) answer with the current
@@ -42,7 +50,8 @@ let advance ds ~now =
       ds.current <- ds.target
     else if ds.current < ds.target then
       ds.current <- ds.current +. delta_mhz
-    else ds.current <- ds.current -. delta_mhz
+    else ds.current <- ds.current -. delta_mhz;
+    resettle ds
   end;
   if now > ds.last then ds.last <- now
 
@@ -55,6 +64,7 @@ let set_target ?on_snap ?sink t domain ~now ~mhz =
   if not ds.stuck then begin
     let before = int_of_float ds.target in
     ds.target <- float_of_int snapped;
+    resettle ds;
     if snapped <> before then
       match sink with
       | None -> ()
@@ -67,7 +77,8 @@ let force t domain ~mhz =
   let ds = t.domains.(Domain.index domain) in
   let f = float_of_int (Freq.clamp mhz) in
   ds.current <- f;
-  ds.target <- f
+  ds.target <- f;
+  resettle ds
 
 let inject t = function
   | Stuck_at (domain, mhz) ->
@@ -75,6 +86,7 @@ let inject t = function
       let f = float_of_int (Freq.clamp mhz) in
       ds.current <- f;
       ds.target <- f;
+      resettle ds;
       ds.stuck <- true
   | Frozen_slew domain -> t.domains.(Domain.index domain).frozen <- true
 
@@ -93,6 +105,16 @@ let peek_mhz t domain ~now =
   let copy = { ds with current = ds.current } in
   advance copy ~now;
   copy.current
+
+(* While the ramp rests on its target, [advance] only moves [last]: do
+   exactly that and answer the target's step, so per-step tables can
+   stand in for the float the slow path would compute. [last] must
+   still move, because a later retarget starts its ramp from it. *)
+let settled_step t domain ~now =
+  let ds = t.domains.(Domain.index domain) in
+  let k = ds.settled in
+  if k >= 0 && now > ds.last then ds.last <- now;
+  k
 
 let voltage t domain ~now = Freq.voltage_f (current_mhz t domain ~now)
 let energy_scale t domain ~now = Freq.energy_scale (current_mhz t domain ~now)

@@ -66,6 +66,14 @@ val current_mhz : t -> Domain.t -> now:Mcd_util.Time.t -> float
     Queries at times before the previous observation answer with the
     current operating point (the ramp is never rewound). *)
 
+val settled_step : t -> Domain.t -> now:Mcd_util.Time.t -> int
+(** [settled_step t d ~now] is the {!Freq} step index the domain rests
+    on when its ramp has reached its target, or [-1] while it slews.
+    A step answer observes [now] exactly as {!current_mhz} would, so the
+    caller may read per-step tables built with the slow path's
+    expressions. A [-1] answer observes nothing: the caller falls back
+    to {!current_mhz}. Either way the run is unchanged bit for bit. *)
+
 val peek_mhz : t -> Domain.t -> now:Mcd_util.Time.t -> float
 (** The frequency {!current_mhz} would answer at [now], without
     advancing the ramp. Each advance is a step of the slew's float

@@ -15,12 +15,12 @@ type stats = { mutable crossings : int; mutable penalties : int }
 val create_stats : unit -> stats
 
 val arrival :
-  ?stats:stats ->
+  stats ->
   consumer:Clock.t ->
   producer_period_ps:int ->
   t:Mcd_util.Time.t ->
-  unit ->
   Mcd_util.Time.t
-(** [arrival ~consumer ~producer_period_ps ~t ()] is the time at which a
-    value produced at [t] (on a producer edge) becomes visible in the
-    consumer domain. *)
+(** [arrival stats ~consumer ~producer_period_ps ~t] is the time at
+    which a value produced at [t] (on a producer edge) becomes visible in
+    the consumer domain. Every call counts one crossing in [stats], and
+    one penalty when the capture slips a cycle. *)

@@ -66,6 +66,33 @@ let leakage_pj_per_ns = function
   | Domain.Floating -> 0.04
   | Domain.Memory -> 0.05
 
+(* One clock tick's clock-tree and leakage energy at operating point
+   [fmhz]. A tick adds the two to its accumulator one at a time,
+   [(pj +. clock) +. leak]: their pre-summed total would round
+   differently. *)
+let tick_clock_pj domain fmhz =
+  clock_tree_pj_per_cycle domain *. Freq.energy_scale fmhz
+
+let tick_leak_pj domain fmhz =
+  let period_ns = 1_000.0 /. fmhz in
+  let v_ratio = Freq.voltage_f fmhz /. Freq.vmax in
+  leakage_pj_per_ns domain *. period_ns *. v_ratio
+
+(* The same values at each legal step, read while a domain's ramp rests
+   on one ([Dvfs.settled_step]); indexed [Domain.index d * Freq.num_steps
+   + step]. *)
+let step_scale =
+  Array.map (fun mhz -> Freq.energy_scale (float_of_int mhz)) Freq.steps
+
+let per_step f =
+  Array.init (Domain.count * Freq.num_steps) (fun i ->
+      f
+        (Domain.of_index (i / Freq.num_steps))
+        (float_of_int Freq.steps.(i mod Freq.num_steps)))
+
+let step_clock_pj = per_step tick_clock_pj
+let step_leak_pj = per_step tick_leak_pj
+
 module Accum = struct
   (* index 0..3: domains; index 4: external *)
   type t = { pj : float array }
@@ -80,17 +107,22 @@ module Accum = struct
     | None -> t.pj.(external_index) <- t.pj.(external_index) +. base
     | Some d ->
         let i = Domain.index d in
-        t.pj.(i) <- t.pj.(i) +. (base *. Dvfs.energy_scale dvfs d ~now)
+        let k = Dvfs.settled_step dvfs d ~now in
+        if k >= 0 then t.pj.(i) <- t.pj.(i) +. (base *. step_scale.(k))
+        else t.pj.(i) <- t.pj.(i) +. (base *. Dvfs.energy_scale dvfs d ~now)
 
   let charge_clock_tick t dvfs ~now domain =
     let i = Domain.index domain in
-    let scale = Dvfs.energy_scale dvfs domain ~now in
-    let fmhz = Dvfs.current_mhz dvfs domain ~now in
-    let period_ns = 1_000.0 /. fmhz in
-    let v_ratio = Freq.voltage_f fmhz /. Freq.vmax in
-    let clock = clock_tree_pj_per_cycle domain *. scale in
-    let leak = leakage_pj_per_ns domain *. period_ns *. v_ratio in
-    t.pj.(i) <- t.pj.(i) +. clock +. leak
+    let k = Dvfs.settled_step dvfs domain ~now in
+    if k >= 0 then begin
+      let j = (i * Freq.num_steps) + k in
+      t.pj.(i) <- t.pj.(i) +. step_clock_pj.(j) +. step_leak_pj.(j)
+    end
+    else begin
+      let fmhz = Dvfs.current_mhz dvfs domain ~now in
+      t.pj.(i) <-
+        t.pj.(i) +. tick_clock_pj domain fmhz +. tick_leak_pj domain fmhz
+    end
 
   let charge_raw t domain ~pj =
     assert (pj >= 0.0);

@@ -18,41 +18,11 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Agequeue.get: index out of bounds";
   t.data.(i)
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
-
-(* The predicate is applied to every element oldest-first, matching
-   [List.filter] on an age-ordered list, so effectful predicates (issue
-   budgets, port counters) observe the exact same sequence. Survivors
-   are compacted toward the front; vacated slots are reset to [dummy]
-   so removed elements become collectable. *)
-let filter_in_place p t =
-  let j = ref 0 in
-  for i = 0 to t.len - 1 do
-    let v = t.data.(i) in
-    if p v then begin
-      if !j < i then t.data.(!j) <- v;
-      incr j
-    end
-  done;
-  let kept = !j in
-  for i = kept to t.len - 1 do
-    t.data.(i) <- t.dummy
-  done;
-  t.len <- kept
+let remove t i =
+  if i < 0 || i >= t.len then invalid_arg "Agequeue.remove: index out of bounds";
+  Array.blit t.data (i + 1) t.data i (t.len - i - 1);
+  t.len <- t.len - 1;
+  t.data.(t.len) <- t.dummy
 
 let clear t =
   for i = 0 to t.len - 1 do

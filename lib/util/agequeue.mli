@@ -2,8 +2,8 @@
 
     An [Agequeue.t] holds elements in insertion (program) order inside a
     preallocated array: O(1) [push], O(1) occupancy via {!length}, and
-    an in-place, order-preserving {!filter_in_place} that replaces the
-    allocate-per-tick [List.filter] idiom. It is the backing store for
+    an in-place, order-preserving {!remove} for scans that issue entries
+    as they walk them, with no allocation. It is the backing store for
     the pipeline's issue queues and load/store queue, where capacity is
     a hardware parameter and oldest-first scan order is the issue
     priority.
@@ -29,19 +29,12 @@ val get : 'a t -> int -> 'a
 (** [get t i] is the i-th oldest element. Raises [Invalid_argument]
     out of bounds. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest-first. *)
-
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Oldest-first. *)
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Keep the elements satisfying the predicate, preserving age order.
-    The predicate is applied to {e every} element oldest-first (like
-    [List.filter]), so effectful predicates observe the same call
-    sequence as the list idiom this replaces. *)
+val remove : 'a t -> int -> unit
+(** [remove t i] drops the i-th oldest element; younger elements move
+    down one slot, keeping age order, and the vacated slot is reset to
+    [dummy]. An oldest-first scan that removes as it goes (the issue
+    loops) stays on index [i] after a removal. Raises
+    [Invalid_argument] out of bounds. *)
 
 val clear : 'a t -> unit
 

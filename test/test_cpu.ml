@@ -127,30 +127,33 @@ let test_bpred_counts () =
 
 let test_fu_pipelined () =
   let fu = Fu.create ~count:1 ~latency_cycles:3 ~pipelined:true in
-  (match Fu.try_issue fu ~now:0 ~period_ps:1000 with
-  | Some c -> Alcotest.(check int) "latency" 3000 c
-  | None -> Alcotest.fail "issue failed");
+  Alcotest.(check int) "latency" 3000 (Fu.try_issue fu ~now:0 ~period_ps:1000);
   (* pipelined: can accept again next cycle *)
-  Alcotest.(check bool) "busy same cycle" true
-    (Fu.try_issue fu ~now:0 ~period_ps:1000 = None);
+  Alcotest.(check int) "busy same cycle" (-1)
+    (Fu.try_issue fu ~now:0 ~period_ps:1000);
+  Alcotest.(check int) "next free a cycle later" 1000 (Fu.next_free fu);
   Alcotest.(check bool) "free next cycle" true
-    (Fu.try_issue fu ~now:1000 ~period_ps:1000 <> None)
+    (Fu.try_issue fu ~now:1000 ~period_ps:1000 >= 0)
 
 let test_fu_unpipelined () =
   let fu = Fu.create ~count:1 ~latency_cycles:4 ~pipelined:false in
-  ignore (Fu.try_issue fu ~now:0 ~period_ps:1000);
-  Alcotest.(check bool) "busy mid-op" true
-    (Fu.try_issue fu ~now:3000 ~period_ps:1000 = None);
+  ignore (Fu.try_issue fu ~now:0 ~period_ps:1000 : int);
+  Alcotest.(check int) "next free at completion" 4000 (Fu.next_free fu);
+  Alcotest.(check int) "busy mid-op" (-1)
+    (Fu.try_issue fu ~now:3000 ~period_ps:1000);
   Alcotest.(check bool) "free after" true
-    (Fu.try_issue fu ~now:4000 ~period_ps:1000 <> None);
+    (Fu.try_issue fu ~now:4000 ~period_ps:1000 >= 0);
   Alcotest.(check int) "ops" 2 (Fu.operations fu)
 
 let test_fu_pool () =
   let fu = Fu.create ~count:2 ~latency_cycles:2 ~pipelined:false in
-  Alcotest.(check bool) "unit 1" true (Fu.try_issue fu ~now:0 ~period_ps:1000 <> None);
-  Alcotest.(check bool) "unit 2" true (Fu.try_issue fu ~now:0 ~period_ps:1000 <> None);
-  Alcotest.(check bool) "pool exhausted" true
-    (Fu.try_issue fu ~now:0 ~period_ps:1000 = None)
+  Alcotest.(check int) "next free while idle" 0 (Fu.next_free fu);
+  Alcotest.(check bool) "unit 1" true (Fu.try_issue fu ~now:0 ~period_ps:1000 >= 0);
+  Alcotest.(check int) "one unit still free" 0 (Fu.next_free fu);
+  Alcotest.(check bool) "unit 2" true (Fu.try_issue fu ~now:0 ~period_ps:1000 >= 0);
+  Alcotest.(check int) "pool exhausted" (-1)
+    (Fu.try_issue fu ~now:0 ~period_ps:1000);
+  Alcotest.(check int) "earliest unit frees first" 2000 (Fu.next_free fu)
 
 (* --- Pipeline -------------------------------------------------------- *)
 
@@ -406,6 +409,88 @@ let test_config_table_renders () =
   Alcotest.(check bool) "mentions ROB" true
     (String.length s > 200 && Helpers.contains ~needle:"Reorder buffer" s)
 
+(* --- Golden digests of the clock-edge hot path ------------------------ *)
+
+(* MD5 of [Metrics.encode] for short reference windows, captured before
+   the allocation-free clock-edge rewrite. They pin the regimes the
+   picosecond goldens of test_experiments do not reach: a memory-bound
+   core (mcf retires one instruction per ~30 cycles, so most edges scan
+   queues that issue nothing), the fp queue (applu), the single-clock
+   loop, every registered feedback controller's occupancy scan, and
+   injected DVFS faults (a frozen ramp never settles). Any change to an
+   edge's float order, Rng stream or scan order moves a digest. *)
+let golden_run ?controller ?dvfs_faults ?(config = Config.alpha21264_like)
+    name ~max_insts =
+  let w = Mcd_workloads.Suite.by_name name in
+  Pipeline.run ?controller ?dvfs_faults ~config
+    ~program:w.Mcd_workloads.Workload.program
+    ~input:w.Mcd_workloads.Workload.reference ~max_insts ()
+
+let check_digest label digest r =
+  Alcotest.(check string) label digest
+    (Digest.to_hex (Digest.string (Metrics.encode r)))
+
+let test_golden_edge_digests () =
+  let policy name =
+    match Mcd_control.Policies.by_name name with
+    | Some p -> p.Mcd_control.Policy.create ()
+    | None -> Alcotest.failf "no policy %s" name
+  in
+  check_digest "mcf baseline" "190bd40468e7a09a66ca9c6e9b085d0a"
+    (golden_run "mcf" ~max_insts:20_000);
+  check_digest "mcf online" "bd6cd04b3010f647b592ef3bf0c41b2e"
+    (golden_run ~controller:(policy "online") "mcf" ~max_insts:20_000);
+  check_digest "applu baseline" "77f795fbac368fa25998206739665399"
+    (golden_run "applu" ~max_insts:20_000);
+  check_digest "applu single clock 600" "9c03b4710aa457d5c7d1603013304d86"
+    (golden_run ~config:(Config.single_clock ~mhz:600) "applu"
+       ~max_insts:20_000);
+  check_digest "mcf single clock 600" "306b2ef284cd85b4e4c738d47c512ae6"
+    (golden_run ~config:(Config.single_clock ~mhz:600) "mcf"
+       ~max_insts:10_000);
+  check_digest "adpcm decode online, faulted"
+    "7fb6c0ed86a1c6942f7921cae2d9ce1e"
+    (golden_run ~controller:(policy "online")
+       ~dvfs_faults:
+         [
+           Mcd_domains.Dvfs.Frozen_slew Domain.Integer;
+           Mcd_domains.Dvfs.Stuck_at (Domain.Floating, 500);
+         ]
+       "adpcm decode" ~max_insts:20_000);
+  let expected =
+    [
+      ("baseline", "5a14f785415d7003751956ca67fc76e6");
+      ("online", "c957a684c7cc73d60e8271c43d994fbf");
+      ("online-eager", "c957a684c7cc73d60e8271c43d994fbf");
+      ("pid", "b3c2c19481f46d2b967c7fb7f447ea53");
+      ("cache-aware", "fb1fdb5c54b6ae1b697638d3a8aa3565");
+      ("util-prop", "9d70ce93382fc904518f752e9fbd499e");
+      ("fixed-750", "f30e96878d28239bf47680985c76d7fa");
+    ]
+  in
+  Alcotest.(check (list string)) "every registered policy pinned"
+    (Mcd_control.Policies.names ()) (List.map fst expected);
+  List.iter
+    (fun (name, digest) ->
+      check_digest ("adpcm decode " ^ name) digest
+        (golden_run ~controller:(policy name) "adpcm decode"
+           ~max_insts:20_000))
+    expected
+
+(* A clock edge allocates nothing in steady state, so the minor words of
+   a memory-bound baseline window, creation and walker included, stay a
+   small constant per front-end cycle (about 11 on mcf). The bound leaves
+   room for the walker's per-instruction records and the jitter draw's
+   boxed float, not for a per-edge allocation in the pipeline. *)
+let test_edge_allocation_bounded () =
+  let before = Gc.minor_words () in
+  let r = golden_run "mcf" ~max_insts:20_000 in
+  let words = Gc.minor_words () -. before in
+  let per_cycle = words /. float_of_int r.Metrics.cycles_front in
+  if per_cycle > 40.0 then
+    Alcotest.failf "%.1f minor words per front-end cycle (bound 40)"
+      per_cycle
+
 (* --- qcheck: pipeline invariants over random small programs ---------- *)
 
 let prop_pipeline_energy_positive =
@@ -465,5 +550,7 @@ let suite =
     ("pipeline mem events", `Quick, test_pipeline_mem_instructions_have_mem_events);
     ("pipeline warmup window", `Quick, test_pipeline_warmup_window);
     ("config table renders", `Quick, test_config_table_renders);
+    ("pipeline golden edge digests", `Slow, test_golden_edge_digests);
+    ("pipeline edge allocation bounded", `Slow, test_edge_allocation_bounded);
     qcheck prop_pipeline_energy_positive;
   ]

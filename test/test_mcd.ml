@@ -176,14 +176,46 @@ let test_dvfs_frozen_slew_fault () =
   check_float "operating point never moves" 1000.0
     (Dvfs.current_mhz d Domain.Floating ~now:(Time.us 100))
 
+(* A settled domain answers its step, and that answer observes [now] as
+   [current_mhz] would: a later retarget's ramp starts from the latest
+   query, wherever it came from. *)
+let test_dvfs_settled_step_keeps_last () =
+  let settled_at_500 () =
+    let d = Dvfs.create () in
+    Dvfs.set_target d Domain.Integer ~now:Time.zero ~mhz:500;
+    ignore (Dvfs.current_mhz d Domain.Integer ~now:(Time.us 60));
+    d
+  in
+  let a = settled_at_500 () and b = settled_at_500 () in
+  Alcotest.(check int) "settled on the 500 MHz step" (Freq.index_of 500)
+    (Dvfs.settled_step a Domain.Integer ~now:(Time.us 80));
+  ignore (Dvfs.current_mhz b Domain.Integer ~now:(Time.us 80));
+  (* retargeted at a time before the last query *)
+  List.iter
+    (fun d -> Dvfs.set_target d Domain.Integer ~now:(Time.us 70) ~mhz:1000)
+    [ a; b ];
+  Alcotest.(check int) "slewing" (-1)
+    (Dvfs.settled_step a Domain.Integer ~now:(Time.us 90));
+  let fa = Dvfs.current_mhz a Domain.Integer ~now:(Time.us 90) in
+  Alcotest.(check (float 0.0)) "same ramp as current_mhz"
+    (Dvfs.current_mhz b Domain.Integer ~now:(Time.us 90))
+    fa;
+  (* 10 us from the 80 us query, not 30 us from the 60 us one *)
+  Alcotest.(check bool) "ramp starts at the last query" true
+    (fa > 600.0 && fa < 700.0)
+
 (* --- Clock ---------------------------------------------------------- *)
 
-let fixed_freq f = fun ~now:_ -> f
+(* A DVFS state whose integer domain rests at [mhz]. *)
+let fixed_dvfs mhz =
+  let d = Dvfs.create () in
+  Dvfs.force d Domain.Integer ~mhz;
+  d
 
 let test_clock_advance () =
   let c =
     Clock.create ~jitter_sigma_ps:0.0 ~rng:(Rng.create 1)
-      ~freq_mhz:(fixed_freq 1000.0) ()
+      ~dvfs:(fixed_dvfs 1000) ~domain:Domain.Integer ()
   in
   Alcotest.(check int) "first edge at zero" 0 (Clock.next_edge c);
   Clock.advance c;
@@ -193,7 +225,8 @@ let test_clock_advance () =
 
 let test_clock_jitter_bounded () =
   let c =
-    Clock.create ~rng:(Rng.create 2) ~freq_mhz:(fixed_freq 1000.0) ()
+    Clock.create ~rng:(Rng.create 2) ~dvfs:(fixed_dvfs 1000)
+      ~domain:Domain.Integer ()
   in
   let prev = ref (Clock.next_edge c) in
   for _ = 1 to 1000 do
@@ -206,7 +239,10 @@ let test_clock_jitter_bounded () =
   done
 
 let test_clock_monotone () =
-  let c = Clock.create ~rng:(Rng.create 3) ~freq_mhz:(fixed_freq 250.0) () in
+  let c =
+    Clock.create ~rng:(Rng.create 3) ~dvfs:(fixed_dvfs 250)
+      ~domain:Domain.Integer ()
+  in
   let prev = ref (-1) in
   for _ = 1 to 500 do
     let e = Clock.next_edge c in
@@ -218,7 +254,7 @@ let test_clock_monotone () =
 let test_clock_project_edge () =
   let c =
     Clock.create ~jitter_sigma_ps:0.0 ~rng:(Rng.create 4)
-      ~freq_mhz:(fixed_freq 1000.0) ()
+      ~dvfs:(fixed_dvfs 1000) ~domain:Domain.Integer ()
   in
   Clock.advance c;
   Clock.advance c;
@@ -231,12 +267,46 @@ let test_clock_project_edge () =
   Alcotest.(check int) "past exact" 1000
     (Clock.project_edge c ~at_or_after:1000)
 
+(* A settled clock reads its period from a per-step table; a slewing
+   one computes it. Both must answer what [Freq.period_ps] gives for the
+   operating point [Dvfs.current_mhz] reports at the same instant. *)
+let test_clock_period_matches_operating_point () =
+  Array.iter
+    (fun mhz ->
+      let c =
+        Clock.create ~jitter_sigma_ps:0.0 ~rng:(Rng.create 6)
+          ~dvfs:(fixed_dvfs mhz) ~domain:Domain.Integer ()
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "settled at %d" mhz)
+        (Freq.period_ps (float_of_int mhz))
+        (Clock.period_ps c ~now:Time.zero))
+    Freq.steps;
+  let slewing () =
+    let d = Dvfs.create () in
+    Dvfs.set_target d Domain.Integer ~now:Time.zero ~mhz:250;
+    d
+  in
+  let d = slewing () and reference = slewing () in
+  let c =
+    Clock.create ~jitter_sigma_ps:0.0 ~rng:(Rng.create 7) ~dvfs:d
+      ~domain:Domain.Integer ()
+  in
+  List.iter
+    (fun ns ->
+      let now = Time.ns ns in
+      Alcotest.(check int)
+        (Printf.sprintf "slewing at %d ns" ns)
+        (Freq.period_ps (Dvfs.current_mhz reference Domain.Integer ~now))
+        (Clock.period_ps c ~now))
+    [ 100; 7_300; 20_000; 54_000; 60_000 ]
+
 (* --- Sync ----------------------------------------------------------- *)
 
-let mk_consumer ?(offset = 0) period_mhz =
+let mk_consumer ?(offset = 0) mhz =
   let c =
     Clock.create ~jitter_sigma_ps:0.0 ~rng:(Rng.create 5)
-      ~freq_mhz:(fixed_freq period_mhz) ()
+      ~dvfs:(fixed_dvfs mhz) ~domain:Domain.Integer ()
   in
   for _ = 1 to offset do
     Clock.advance c
@@ -244,32 +314,35 @@ let mk_consumer ?(offset = 0) period_mhz =
   c
 
 let test_sync_clean_capture () =
-  let consumer = mk_consumer 1000.0 in
+  let consumer = mk_consumer 1000 in
   (* production at 400 ps: next edge 1000, distance 600 > 300 window,
      and 1000-600=400 > window on the other side too *)
   let a =
-    Sync.arrival ~consumer ~producer_period_ps:1000 ~t:400 ()
+    Sync.arrival (Sync.create_stats ()) ~consumer ~producer_period_ps:1000
+      ~t:400
   in
   Alcotest.(check int) "captured at next edge" 1000 a
 
 let test_sync_window_penalty_close_after () =
-  let consumer = mk_consumer 1000.0 in
+  let consumer = mk_consumer 1000 in
   (* production at 900 ps: distance to edge 1000 is 100 < 300 *)
-  let a = Sync.arrival ~consumer ~producer_period_ps:1000 ~t:900 () in
+  let a = Sync.arrival (Sync.create_stats ()) ~consumer
+      ~producer_period_ps:1000 ~t:900 in
   Alcotest.(check int) "slipped one cycle" 2000 a
 
 let test_sync_window_penalty_close_before () =
-  let consumer = mk_consumer 1000.0 in
+  let consumer = mk_consumer 1000 in
   (* production at 1100: distance to capturing edge 2000 is 900; but the
      edge just missed (1000) is only 100 behind -> unsafe *)
-  let a = Sync.arrival ~consumer ~producer_period_ps:1000 ~t:1100 () in
+  let a = Sync.arrival (Sync.create_stats ()) ~consumer
+      ~producer_period_ps:1000 ~t:1100 in
   Alcotest.(check int) "slipped one cycle" 3000 a
 
 let test_sync_stats () =
-  let consumer = mk_consumer 1000.0 in
+  let consumer = mk_consumer 1000 in
   let stats = Sync.create_stats () in
-  let _ = Sync.arrival ~stats ~consumer ~producer_period_ps:1000 ~t:400 () in
-  let _ = Sync.arrival ~stats ~consumer ~producer_period_ps:1000 ~t:900 () in
+  let _ = Sync.arrival stats ~consumer ~producer_period_ps:1000 ~t:400 in
+  let _ = Sync.arrival stats ~consumer ~producer_period_ps:1000 ~t:900 in
   Alcotest.(check int) "crossings" 2 stats.Sync.crossings;
   Alcotest.(check int) "penalties" 1 stats.Sync.penalties
 
@@ -278,8 +351,10 @@ let test_sync_window_boundaries () =
      strict on both sides: a production edge exactly [window] away from
      either consumer edge captures cleanly; one ps closer slips. *)
   let stats = Sync.create_stats () in
-  let at t = Sync.arrival ~stats ~consumer:(mk_consumer 1000.0)
-      ~producer_period_ps:1000 ~t () in
+  let at t =
+    Sync.arrival stats ~consumer:(mk_consumer 1000) ~producer_period_ps:1000
+      ~t
+  in
   Alcotest.(check int) "distance = window is safe" 1000 (at 700);
   Alcotest.(check int) "period - distance = window is safe" 1000 (at 300);
   Alcotest.(check int) "distance = window - 1 slips" 2000 (at 701);
@@ -291,8 +366,9 @@ let test_sync_window_boundaries () =
 let test_sync_window_uses_faster_clock () =
   (* consumer at 250 MHz (4000 ps): window is 30% of the faster
      (producer, 1000 ps) = 300 ps *)
-  let consumer = mk_consumer 250.0 in
-  let a = Sync.arrival ~consumer ~producer_period_ps:1000 ~t:1000 () in
+  let consumer = mk_consumer 250 in
+  let a = Sync.arrival (Sync.create_stats ()) ~consumer
+      ~producer_period_ps:1000 ~t:1000 in
   (* distance to edge 4000 is 3000 ps; other side 1000 ps: both safe *)
   Alcotest.(check int) "safe capture" 4000 a
 
@@ -380,9 +456,10 @@ let prop_sync_arrival_after_production =
   QCheck.Test.make ~name:"sync arrival never precedes production" ~count:300
     QCheck.(pair (int_range 0 100_000) (int_range 0 15))
     (fun (t, step) ->
-      let mhz = float_of_int (Freq.of_index step) in
-      let consumer = mk_consumer mhz in
-      Sync.arrival ~consumer ~producer_period_ps:1000 ~t () >= t)
+      let consumer = mk_consumer (Freq.of_index step) in
+      Sync.arrival (Sync.create_stats ()) ~consumer ~producer_period_ps:1000
+        ~t
+      >= t)
 
 let suite =
   [
@@ -397,6 +474,7 @@ let suite =
     ("dvfs slew rate", `Quick, test_dvfs_slew_rate);
     ("dvfs transition flag", `Quick, test_dvfs_transition_flag);
     ("dvfs retarget mid-ramp", `Quick, test_dvfs_retarget_mid_ramp);
+    ("dvfs settled step keeps last", `Quick, test_dvfs_settled_step_keeps_last);
     ("dvfs interleaved slew terminates", `Quick,
      test_dvfs_interleaved_slew_terminates);
     ("dvfs past query", `Quick, test_dvfs_past_query_no_rewind);
@@ -408,6 +486,8 @@ let suite =
     ("clock jitter bounded", `Quick, test_clock_jitter_bounded);
     ("clock monotone", `Quick, test_clock_monotone);
     ("clock project edge", `Quick, test_clock_project_edge);
+    ("clock period matches operating point", `Quick,
+     test_clock_period_matches_operating_point);
     ("sync clean capture", `Quick, test_sync_clean_capture);
     ("sync penalty after", `Quick, test_sync_window_penalty_close_after);
     ("sync penalty before", `Quick, test_sync_window_penalty_close_before);

@@ -123,6 +123,46 @@ let test_metrics_energy_delay () =
   let r = mk_run ~runtime_ps:2_000_000 ~energy_pj:500.0 ~instructions:1 ~cycles:1 in
   check_float "ed product" (500.0 *. 2e-6) (Metrics.energy_delay r)
 
+(* While a domain rests on a step, charges read per-step tables. Each
+   must add what the slow path's expressions give, bit for bit and in
+   its order: a tick adds the clock-tree term, then the leakage term. *)
+let test_settled_tables_match_slow_path () =
+  let start = 0.1 in
+  let fresh d =
+    let acc = Energy.Accum.create () in
+    Energy.Accum.charge_raw acc (Some d) ~pj:start;
+    acc
+  in
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun mhz ->
+          let dvfs = Dvfs.create () in
+          Dvfs.force dvfs d ~mhz;
+          let f = float_of_int mhz in
+          let label what = Printf.sprintf "%s %s at %d" (Domain.name d) what mhz in
+          let acc = fresh d in
+          Energy.Accum.charge_clock_tick acc dvfs ~now:Time.zero d;
+          let clock = Energy.clock_tree_pj_per_cycle d *. Freq.energy_scale f in
+          let leak =
+            Energy.leakage_pj_per_ns d *. (1_000.0 /. f)
+            *. (Freq.voltage_f f /. Freq.vmax)
+          in
+          Alcotest.(check (float 0.0)) (label "tick") (start +. clock +. leak)
+            (Energy.Accum.domain_pj acc d);
+          List.iter
+            (fun a ->
+              if Energy.domain_of a = Some d then begin
+                let acc = fresh d in
+                Energy.Accum.charge acc dvfs ~now:Time.zero a;
+                Alcotest.(check (float 0.0)) (label "charge")
+                  (start +. (Energy.base_pj a *. Freq.energy_scale f))
+                  (Energy.Accum.domain_pj acc d)
+              end)
+            all_activities)
+        Freq.steps)
+    Domain.all
+
 let suite =
   [
     ("base costs positive", `Quick, test_base_costs_positive);
@@ -132,6 +172,8 @@ let suite =
     ("external never scaled", `Quick, test_external_never_scaled);
     ("clock tick scales down", `Quick, test_clock_tick_scales_down);
     ("charge raw", `Quick, test_charge_raw);
+    ("settled tables match the slow path", `Quick,
+     test_settled_tables_match_slow_path);
     ("metrics ipc", `Quick, test_metrics_ipc);
     ("metrics comparisons", `Quick, test_metrics_comparisons);
     ("metrics energy-delay", `Quick, test_metrics_energy_delay);

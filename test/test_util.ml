@@ -49,6 +49,29 @@ let test_rng_split_reproducible () =
   Alcotest.(check int64) "same label same stream" (Rng.int64 c1)
     (Rng.int64 c2)
 
+(* The first draws of one seed, captured before the generator's state
+   was unboxed: the raw stream, the float mapping, both halves of a
+   Box-Muller pair (the second comes from the cached spare), a split
+   child, and the parent's next draw after the split. Every clock's
+   jitter and every workload stream reads this generator, so a changed
+   bit here moves every simulated result. *)
+let test_rng_golden_draws () =
+  let t = Rng.create 2003 in
+  Alcotest.(check int64) "int64" 7096296436637601017L (Rng.int64 t);
+  let bits label expected v =
+    Alcotest.(check int64) label expected (Int64.bits_of_float v)
+  in
+  bits "float" (Int64.bits_of_float 0x1.037ef94242ba2p-2) (Rng.float t 1.0);
+  bits "normal, first of pair" (Int64.bits_of_float (-0x1.3cfd733196dacp-1))
+    (Rng.normal t ~mean:0.0 ~sigma:1.0);
+  bits "normal, cached spare" (Int64.bits_of_float 0x1.4652aba14ed17p-1)
+    (Rng.normal t ~mean:0.0 ~sigma:1.0);
+  let child = Rng.split t ~label:"front-end" in
+  Alcotest.(check int64) "split child" (-4066377576557424522L)
+    (Rng.int64 child);
+  Alcotest.(check int64) "parent after split" 5441427589306205766L
+    (Rng.int64 t)
+
 let test_rng_int_bounds () =
   let t = Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -360,28 +383,33 @@ let test_agequeue_basic () =
   Alcotest.check_raises "push on full"
     (Invalid_argument "Agequeue.push: queue is full") (fun () ->
       Agequeue.push q 40);
-  Agequeue.filter_in_place (fun v -> v <> 20) q;
+  Agequeue.remove q 1;
   Alcotest.(check (list int)) "order kept" [ 10; 30 ] (Agequeue.to_list q);
+  Alcotest.check_raises "remove out of bounds"
+    (Invalid_argument "Agequeue.remove: index out of bounds") (fun () ->
+      Agequeue.remove q 2);
   Agequeue.clear q;
   Alcotest.(check int) "cleared" 0 (Agequeue.length q)
 
-let test_agequeue_filter_visits_all_in_age_order () =
+(* The issue loops' shape: walk oldest-first and stay on [i] after a
+   removal, so every element is visited once, in age order. *)
+let test_agequeue_scan_removes_in_age_order () =
   let q = Agequeue.create ~capacity:8 ~dummy:0 in
   List.iter (Agequeue.push q) [ 1; 2; 3; 4; 5 ];
-  let visited = ref [] in
-  Agequeue.filter_in_place
-    (fun v ->
-      visited := v :: !visited;
-      v mod 2 = 1)
-    q;
+  let visited = ref [] and i = ref 0 in
+  while !i < Agequeue.length q do
+    let v = Agequeue.get q !i in
+    visited := v :: !visited;
+    if v mod 2 = 0 then Agequeue.remove q !i else incr i
+  done;
   Alcotest.(check (list int)) "visited every element oldest-first"
     [ 1; 2; 3; 4; 5 ] (List.rev !visited);
   Alcotest.(check (list int)) "survivors" [ 1; 3; 5 ] (Agequeue.to_list q)
 
 (* Differential property: an [Agequeue] driven by random
    dispatch/issue/flush sequences behaves exactly like the immutable
-   age-ordered list the pipeline used before the rewrite, including the
-   order in which an effectful issue predicate observes entries. *)
+   age-ordered list the pipeline once used, including the order in
+   which an effectful issue scan observes entries. *)
 let prop_agequeue_matches_list_reference =
   let gen_ops =
     QCheck.Gen.(
@@ -425,17 +453,25 @@ let prop_agequeue_matches_list_reference =
           | `Issue mask ->
               (* an effectful oldest-first scan with an issue budget,
                  like [tick_exec]: keep entries whose low bits miss the
-                 mask, issue (remove) at most two others *)
+                 mask, issue (remove) at most two others. Entries past
+                 a spent budget are neither observed nor changed: the
+                 queue's scan stops there, the list filter keeps them. *)
               let issue_one seen budget v =
-                seen := v :: !seen;
-                if !budget > 0 && (v land 7) land mask <> 0 then begin
-                  decr budget;
-                  false
+                if !budget > 0 then begin
+                  seen := v :: !seen;
+                  if (v land 7) land mask <> 0 then begin
+                    decr budget;
+                    false
+                  end
+                  else true
                 end
                 else true
               in
-              let bq = ref 2 in
-              Agequeue.filter_in_place (issue_one seen_q bq) q;
+              let bq = ref 2 and i = ref 0 in
+              while !bq > 0 && !i < Agequeue.length q do
+                if issue_one seen_q bq (Agequeue.get q !i) then incr i
+                else Agequeue.remove q !i
+              done;
               let bl = ref 2 in
               reference := List.filter (issue_one seen_l bl) !reference
           | `Flush ->
@@ -507,6 +543,7 @@ let suite =
     ("rng seed sensitivity", `Quick, test_rng_seed_sensitivity);
     ("rng split independent", `Quick, test_rng_split_independent);
     ("rng split reproducible", `Quick, test_rng_split_reproducible);
+    ("rng golden draws", `Quick, test_rng_golden_draws);
     ("rng int bounds", `Quick, test_rng_int_bounds);
     ("rng float bounds", `Quick, test_rng_float_bounds);
     ("rng bool bias", `Quick, test_rng_bool_bias);
@@ -536,7 +573,7 @@ let suite =
     ("vec bounds", `Quick, test_vec_bounds);
     ("vec iter/fold", `Quick, test_vec_iter_fold);
     ("agequeue basic", `Quick, test_agequeue_basic);
-    ("agequeue filter order", `Quick, test_agequeue_filter_visits_all_in_age_order);
+    ("agequeue filter order", `Quick, test_agequeue_scan_removes_in_age_order);
     ("par matches sequential", `Quick, test_par_matches_sequential);
     ("par empty/singleton", `Quick, test_par_empty_and_singleton);
     ("par propagates exception", `Quick, test_par_propagates_exception);

@@ -434,7 +434,11 @@ let trace_suite ~quick ~dir =
       let name = w.Mcd_workloads.Workload.name in
       let sink = Mcd_obs.Sink.create ~domains:Mcd_domains.Domain.count () in
       let t0 = Mcd_util.Time.now_s () in
-      let _run = Runner.observed_run ~sink w in
+      let _run =
+        Runner.policy_run ~sink
+          (Runner.profile_policy ~context:Mcd_profiling.Context.lf w)
+          w
+      in
       let dt = Mcd_util.Time.now_s () -. t0 in
       let sub = Filename.concat dir (sanitize_name name) in
       ignore (Mcd_obs.Export.write_dir ~domain_names ~dir:sub sink : string list);

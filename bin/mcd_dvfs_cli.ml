@@ -30,7 +30,6 @@ module Robustness = Mcd_experiments.Robustness
 module Tournament = Mcd_experiments.Tournament
 module Campaign = Mcd_experiments.Campaign
 module Gspec = Mcd_gen.Spec
-module Policies = Mcd_control.Policies
 module Json = Mcd_obs.Json
 module Metrics = Mcd_power.Metrics
 module Table = Mcd_util.Table
@@ -128,36 +127,10 @@ let suite_cmd =
 
 (* --- run ------------------------------------------------------------- *)
 
-(* The paper's four policies plus the global-DVS bar keep their
-   historical spellings; any other name is looked up in the policy-zoo
-   registry, so `run mcf --policy pid` works for every registered
-   contender without a new enum case per policy. *)
-let run_policy_arg =
-  let parse s =
-    match s with
-    | "baseline" -> Ok `Baseline
-    | "offline" -> Ok `Offline
-    | "online" -> Ok `Online
-    | "profile" -> Ok `Profile
-    | "global" -> Ok `Global
-    | s -> (
-        match Policies.by_name s with
-        | Some p -> Ok (`Zoo p)
-        | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown policy %S (registry: %s)" s
-                    (String.concat ", " (Policies.names ())))))
-  in
-  let print fmt = function
-    | `Baseline -> Format.pp_print_string fmt "baseline"
-    | `Offline -> Format.pp_print_string fmt "offline"
-    | `Online -> Format.pp_print_string fmt "online"
-    | `Profile -> Format.pp_print_string fmt "profile"
-    | `Global -> Format.pp_print_string fmt "global"
-    | `Zoo p -> Format.pp_print_string fmt (Mcd_control.Policy.id p)
-  in
-  Arg.conv (parse, print)
+(* The labels Runner.policy_of_name resolves, checked at parsing and
+   bound to the workload once it is known; [run] also takes "global",
+   the global-DVS bar. *)
+let policy_arg labels = Arg.enum (List.map (fun l -> (l, l)) labels)
 
 let print_breakdown (m : Metrics.run) =
   let domains = Mcd_domains.Domain.all in
@@ -214,12 +187,9 @@ let run_cmd =
     | Ok w ->
     let baseline = Runner.baseline w in
     let metrics =
-      match policy with
-      | `Baseline -> baseline
-      | `Offline -> Runner.offline_run w
-      | `Online -> Runner.online_run w
-      | `Profile -> (Runner.profile_run w ~context ~train:`Train).Runner.run
-      | `Global ->
+      match Runner.policy_of_name ~context policy w with
+      | Some p -> Runner.policy_run p w
+      | None (* global *) ->
           let off = Runner.offline_run w in
           let g, mhz =
             Runner.global_dvs_run w
@@ -227,7 +197,6 @@ let run_cmd =
           in
           Printf.printf "global frequency: %d MHz\n" mhz;
           g
-      | `Zoo p -> Runner.policy_run p w
     in
     Format.printf "%a@." Metrics.pp metrics;
     if breakdown then print_breakdown metrics;
@@ -252,11 +221,11 @@ let run_cmd =
              finding carrying one, see $(b,campaign)).")
   in
   let policy =
-    Arg.(value & opt run_policy_arg `Profile
+    Arg.(value & opt (policy_arg (Runner.policy_names @ [ "global" ])) "profile"
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:
-               "baseline | offline | online | profile | global, or any \
-                policy-zoo registry label (see $(b,tournament))")
+               "A policy-zoo registry label (see $(b,tournament)), \
+                offline, profile or global")
   in
   let context =
     Arg.(value & opt context_arg Context.lf
@@ -657,7 +626,8 @@ let trace_cmd =
       Mcd_obs.Sink.create ~stride_cycles:stride
         ~domains:Mcd_domains.Domain.count ()
     in
-    let metrics = Runner.observed_run ~policy ~context ~sink w in
+    let p = Option.get (Runner.policy_of_name ~context policy w) in
+    let metrics = Runner.policy_run ~sink p w in
     let domain_names =
       Array.of_list (List.map Mcd_domains.Domain.name Mcd_domains.Domain.all)
     in
@@ -671,19 +641,10 @@ let trace_cmd =
     0
   in
   let w = Arg.(required & pos 0 (some workload_arg) None & info [] ~docv:"BENCHMARK") in
-  let policy_enum =
-    Arg.enum
-      [
-        ("baseline", `Baseline);
-        ("offline", `Offline);
-        ("online", `Online);
-        ("profile", `Profile);
-      ]
-  in
   let policy =
-    Arg.(value & opt policy_enum `Profile
+    Arg.(value & opt (policy_arg Runner.policy_names) "profile"
          & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"baseline | offline | online | profile")
+             ~doc:"A policy-zoo registry label, offline or profile")
   in
   let context =
     Arg.(value & opt context_arg Context.lf

@@ -141,7 +141,10 @@ let online_eager () = Attack_decay.policy ~label:"online-eager" ~params:eager_pa
 let mid_grid =
   Reconfig.make ~front_end:Freq.fmax_mhz ~integer:750 ~floating:750 ~memory:750
 
-let all () =
+(* Built once: policy values are immutable (run state lives in
+   [create]) and served requests resolve here. Not [Lazy]: forcing one
+   from two domains at once raises. *)
+let registry =
   [
     baseline;
     online ();
@@ -152,14 +155,16 @@ let all () =
     fixed ~label:"fixed-750" mid_grid;
   ]
 
+let all () = registry
+
 let contenders () =
-  List.filter (fun p -> p.Policy.name <> "baseline") (all ())
+  List.filter (fun p -> p.Policy.name <> "baseline") registry
 
 (* The attack/decay family: the purely reactive controllers the
    generative campaign races profile-driven control against. *)
-let adversaries () = [ online (); online_eager () ]
+let adversaries () = List.filter (fun p -> p.Policy.name = "online") registry
 
 let by_name name =
-  List.find_opt (fun p -> p.Policy.label = name) (all ())
+  List.find_opt (fun p -> p.Policy.label = name) registry
 
-let names () = List.map (fun p -> p.Policy.label) (all ())
+let names () = List.map (fun p -> p.Policy.label) registry

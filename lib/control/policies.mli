@@ -51,7 +51,10 @@ val online_eager : unit -> Policy.t
 (** {1 Registry} *)
 
 val all : unit -> Policy.t list
-(** Every registered policy, baseline first. Labels are unique. *)
+(** Every registered policy, baseline first. Labels are unique. The
+    list is built once, at module initialisation: every call (and
+    {!contenders}, {!adversaries}, {!by_name}, {!names}) returns the
+    same physical values. *)
 
 val contenders : unit -> Policy.t list
 (** {!all} minus the baseline: the policies worth racing. *)

@@ -36,7 +36,7 @@ let is_loop_marker = function
    epilogues of instrumented units maintain the tree label; entering a
    long-running node writes its setting, exiting restores the saved
    one. *)
-let edit_paths (plan : Plan.t) counters =
+let edit_paths (plan : Plan.t) =
   let tree = plan.Plan.tree in
   let tracker = Tracker.create tree in
   let instrumented = Hashtbl.create 32 in
@@ -73,7 +73,6 @@ let edit_paths (plan : Plan.t) counters =
         frames := frame :: !frames;
         (match long_node with
         | Some id ->
-            counters.reconfig_execs <- counters.reconfig_execs + 1;
             let s =
               match Plan.setting_for_node plan id with
               | Some s -> s
@@ -87,7 +86,6 @@ let edit_paths (plan : Plan.t) counters =
             }
         | None ->
             if unit_instrumented then begin
-              counters.instr_execs <- counters.instr_execs + 1;
               if is_loop then
                 {
                   Controller.stall_cycles = offset_stall_cycles;
@@ -108,7 +106,6 @@ let edit_paths (plan : Plan.t) counters =
         | f :: rest ->
             frames := rest;
             if f.was_long then begin
-              counters.reconfig_execs <- counters.reconfig_execs + 1;
               cur := f.saved;
               {
                 Controller.stall_cycles = reconfig_stall_cycles;
@@ -117,7 +114,6 @@ let edit_paths (plan : Plan.t) counters =
               }
             end
             else if f.instrumented then begin
-              counters.instr_execs <- counters.instr_execs + 1;
               if f.is_loop then
                 {
                   Controller.stall_cycles = offset_stall_cycles;
@@ -143,14 +139,13 @@ let edit_paths (plan : Plan.t) counters =
 (* Run-time behaviour for L+F and F: no label tracking at all. Statically
    known settings are written at the boundaries of long-running units;
    prologues save the current setting and epilogues restore it. *)
-let edit_static (plan : Plan.t) counters =
+let edit_static (plan : Plan.t) =
   let ctx = plan.Plan.context in
   let cur = ref (Reconfig.full_speed ()) in
   let frames = ref [] in
   let enter u =
     match Plan.setting_for_unit plan u with
     | Some s ->
-        counters.reconfig_execs <- counters.reconfig_execs + 1;
         frames := Some !cur :: !frames;
         cur := s;
         {
@@ -169,7 +164,6 @@ let edit_static (plan : Plan.t) counters =
         frames := rest;
         match f with
         | Some saved ->
-            counters.reconfig_execs <- counters.reconfig_execs + 1;
             cur := saved;
             {
               Controller.stall_cycles = static_reconfig_stall_cycles;
@@ -195,10 +189,21 @@ let edit_static (plan : Plan.t) counters =
     sample_interval_cycles = 0;
   }
 
-let edit plan =
+(* Points are counted where the pipeline charges them, so a plan's
+   controller and any other controller are counted by one rule. *)
+let count (c : Controller.t) =
   let counters = { reconfig_execs = 0; instr_execs = 0 } in
-  let controller =
-    if plan.Plan.context.Context.paths then edit_paths plan counters
-    else edit_static plan counters
+  let on_marker m ~now =
+    let r = c.Controller.on_marker m ~now in
+    if Controller.charged r then
+      if Option.is_some r.Controller.set then
+        counters.reconfig_execs <- counters.reconfig_execs + 1
+      else counters.instr_execs <- counters.instr_execs + 1;
+    r
   in
-  { controller; counters }
+  { controller = { c with Controller.on_marker }; counters }
+
+let edit plan =
+  count
+    (if plan.Plan.context.Context.paths then edit_paths plan
+     else edit_static plan)

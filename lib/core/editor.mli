@@ -21,17 +21,24 @@
 
 type counters = {
   mutable reconfig_execs : int;
-      (** reconfiguration points executed (register writes) *)
+      (** reconfiguration points executed (charged register writes) *)
   mutable instr_execs : int;
-      (** instrumentation-only points executed (label tracking) *)
+      (** instrumentation-only points executed (charged, no write) *)
 }
 
 type edited = { controller : Mcd_cpu.Controller.t; counters : counters }
 
 val edit : Plan.t -> edited
-(** Build the run-time policy for the plan's context. The returned
-    controller is single-use: it carries run state (label stack, saved
-    settings). Call [edit] again for every simulation. *)
+(** Build the run-time policy for the plan's context, counted by
+    {!count}. The returned controller is single-use: it carries run
+    state (label stack, saved settings). Call [edit] again for every
+    simulation. *)
+
+val count : Mcd_cpu.Controller.t -> edited
+(** Wrap a controller so it counts the marker points it executes: a
+    reaction the pipeline charges ({!Mcd_cpu.Controller.charged}) is a
+    point, a reconfiguration point when it also writes. Markers inside
+    instances phase sampling skips never reach the controller. *)
 
 val instr_stall_cycles : int
 (** 9 *)

@@ -16,6 +16,7 @@ type reaction = {
 }
 
 let no_reaction = { stall_cycles = 0; table_reads = 0; set = None }
+let charged r = r.stall_cycles > 0 || r.table_reads > 0
 
 type t = {
   name : string;

@@ -44,6 +44,10 @@ type reaction = {
 
 val no_reaction : reaction
 
+val charged : reaction -> bool
+(** The pipeline charges a reaction (stall, inserted instructions'
+    energy, table lookups) exactly when it stalls or reads a table. *)
+
 type t = {
   name : string;
   on_marker : Mcd_isa.Walker.marker -> now:Mcd_util.Time.t -> reaction;

@@ -588,8 +588,7 @@ let icache_access t ~now ~pc =
   end
 
 let apply_reaction t ~now (reaction : Controller.reaction) =
-  let charged = reaction.stall_cycles > 0 || reaction.table_reads > 0 in
-  if charged then begin
+  if Controller.charged reaction then begin
     t.instr_points <- t.instr_points + 1;
     let p = period t Domain.Front_end ~now in
     let stall = reaction.stall_cycles * p in

@@ -80,6 +80,20 @@ let evaluate ~params spec =
   let findings = ref [] in
   let add vs = List.iter (fun v -> findings := Assertion v :: !findings) vs in
   let baseline = Runner.baseline w in
+  (* The observed runs go first: an observed run is stored under its
+     exact-mode key, so the plain profile run (at the default slowdown,
+     the observed run's operating point) and the plain on-line run below
+     read it back instead of simulating again. *)
+  let observe policy =
+    let sink = Sink.create ~domains:Domain.count () in
+    (Runner.policy_run ~sink policy w, sink)
+  in
+  let observed =
+    if params.observe then
+      let profile = observe (Runner.profile_policy ~context:Context.lf w) in
+      Some (profile, snd (observe (Policies.online ())))
+    else None
+  in
   add (Assert.run_sane ~label:"baseline" baseline);
   let pr =
     Runner.profile_run ~slowdown_pct:params.slowdown_pct w ~context:Context.lf
@@ -107,22 +121,20 @@ let evaluate ~params spec =
             }
           :: !findings)
     (Policies.adversaries ());
-  if params.observe then begin
-    (* Observed profile run at the default slowdown (observed_run's
-       operating point): interval series feed the plan-floor check. *)
-    let sink = Sink.create ~domains:Domain.count () in
-    let orun = Runner.observed_run ~policy:`Profile ~context:Context.lf ~sink w in
-    add (Assert.run_sane ~label:"profile-observed" orun);
-    let plan = Runner.plan_for w ~context:Context.lf ~train:`Train in
-    let floor = Assert.plan_floor_mhz plan in
-    let ipc_threshold = 0.5 *. Metrics.ipc baseline in
-    add (Assert.floor_respected ~label:"profile-observed" ~floor_mhz:floor ~ipc_threshold sink);
-    (* Observed attack/decay run: its combined-target decision events
-       feed the frequency-grid check. *)
-    let sink2 = Sink.create ~domains:Domain.count () in
-    let _ = Runner.observed_run ~policy:`Online ~sink:sink2 w in
-    add (Assert.decisions_on_grid ~label:"online-observed" sink2)
-  end;
+  Option.iter
+    (fun ((orun, profile_sink), online_sink) ->
+      (* the observed profile run's interval series feed the plan-floor
+         check, the on-line run's combined-target decision events the
+         frequency-grid check *)
+      add (Assert.run_sane ~label:"profile-observed" orun);
+      let plan = Runner.plan_for w ~context:Context.lf ~train:`Train in
+      let floor = Assert.plan_floor_mhz plan in
+      let ipc_threshold = 0.5 *. Metrics.ipc baseline in
+      add
+        (Assert.floor_respected ~label:"profile-observed" ~floor_mhz:floor
+           ~ipc_threshold profile_sink);
+      add (Assert.decisions_on_grid ~label:"online-observed" online_sink))
+    observed;
   List.rev !findings
 
 let replay ?(params = default_params) spec = evaluate ~params spec

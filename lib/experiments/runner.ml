@@ -6,8 +6,8 @@ module Context = Mcd_profiling.Context
 module Plan = Mcd_core.Plan
 module Editor = Mcd_core.Editor
 module Analyze = Mcd_core.Analyze
-module Attack_decay = Mcd_control.Attack_decay
 module Policy = Mcd_control.Policy
+module Policies = Mcd_control.Policies
 module Freq = Mcd_domains.Freq
 module Ckey = Mcd_cache.Key
 module Cstore = Mcd_cache.Store
@@ -52,20 +52,16 @@ let get_sim_mode () = !sim_mode
 let sampling () = match !sim_mode with Exact -> None | Sampled p -> Some p
 
 (* Sampled results are different objects from exact ones: production
-   run keys grow a ("sim", ...) part and every in-memory memo key a
-   matching suffix, so the two modes never serve each other's numbers.
-   In [Exact] mode both are empty — exact keys are byte-identical to
-   what they were before sampling existed. Plans and oracle analyses
-   are always computed exactly, so their keys never carry the part. *)
+   run keys — and so the in-memory memo keys, which are their canonical
+   lines — grow a ("sim", ...) part, so the two modes never serve each
+   other's numbers. In [Exact] mode the part is absent — exact keys are
+   byte-identical to what they were before sampling existed. Plans and
+   oracle analyses are always computed exactly, so their keys never
+   carry the part. *)
 let sim_parts () =
   match !sim_mode with
   | Exact -> []
   | Sampled p -> [ ("sim", "sampled:" ^ Sampler.params_id p) ]
-
-let sim_tag () =
-  match !sim_mode with
-  | Exact -> ""
-  | Sampled p -> "/sampled:" ^ Sampler.params_id p
 
 (* Memo tables are domain-local: experiment sweeps fan out across OCaml
    domains (see [map_workloads]) and [Hashtbl] is not safe under
@@ -81,14 +77,14 @@ let sim_tag () =
    skips simulation entirely. *)
 let dls_table () = Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-let memo_key : (string, Metrics.run) Hashtbl.t Domain.DLS.key = dls_table ()
+(* runs with the marker points they executed, by store key *)
+let memo_key :
+    (string, Metrics.run * Editor.counters) Hashtbl.t Domain.DLS.key =
+  dls_table ()
+
 let plan_memo_key : (string, Plan.t) Hashtbl.t Domain.DLS.key = dls_table ()
 
 let oracle_memo_key : (string, Mcd_core.Oracle.analysis) Hashtbl.t Domain.DLS.key =
-  dls_table ()
-
-(* full profiled runs (with counters) at the default slowdown *)
-let profiled_memo_key : (string, profiled_run) Hashtbl.t Domain.DLS.key =
   dls_table ()
 
 (* the key fragments every run, plan and oracle key opens with, by
@@ -103,14 +99,12 @@ let base_parts_memo_key :
 let memo () = Domain.DLS.get memo_key
 let plan_memo () = Domain.DLS.get plan_memo_key
 let oracle_memo () = Domain.DLS.get oracle_memo_key
-let profiled_memo () = Domain.DLS.get profiled_memo_key
 let base_parts_memo () = Domain.DLS.get base_parts_memo_key
 
 let clear_caches () =
   Hashtbl.reset (memo ());
   Hashtbl.reset (plan_memo ());
   Hashtbl.reset (oracle_memo ());
-  Hashtbl.reset (profiled_memo ());
   Hashtbl.reset (base_parts_memo ())
 
 let memoize tbl key f =
@@ -193,8 +187,9 @@ let base_parts (w : Workload.t) ~config ~input =
    policy driving reconfiguration (with all its parameters). The policy
    identity is rendered by [Ckey.policy_fragment] so the experiment
    service derives byte-identical request keys. Runs that are exact in
-   every mode (see [online_run]) pass [~modal:false] to drop the
-   ("sim", ...) part: their one result serves both modes. *)
+   every mode (feedback policies and observed runs, see [policy_key])
+   pass [~modal:false] to drop the ("sim", ...) part: their one result
+   serves both modes. *)
 let run_key ?(modal = true) (w : Workload.t) ~config ~policy ~params =
   Ckey.make ~kind:"run"
     ~parts:
@@ -255,9 +250,6 @@ let disk_cached ~key ~encode ~decode f =
   | None -> f ()
   | Some store -> Cstore.cached store ~key:(key ()) ~encode ~decode f
 
-let run_cached ~key f =
-  disk_cached ~key ~encode:Metrics.encode ~decode:Metrics.decode f
-
 (* Plans are stored in the Plan_io text format. Decoding rebuilds the
    training tree (cheap: a profiler walk, no timing simulation) and
    refuses — i.e. reports corruption, triggering recompute — if the
@@ -276,40 +268,7 @@ let plan_codec ?threshold (w : Workload.t) ~context ~train =
   in
   (Mcd_core.Plan_io.to_string, decode)
 
-(* --- policy runs ------------------------------------------------------- *)
-
-(* A short stable identity for a processor configuration, for
-   in-memory memo keys only (disk keys carry the full config fragment
-   through [base_parts]). *)
-let config_tag cfg =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ";"
-          (List.map (fun (k, v) -> k ^ "=" ^ v) (Ckey.config_fragment cfg))))
-
-let sim_run ?controller ?sampling:(sampl = sampling ()) (w : Workload.t)
-    ~config =
-  Pipeline.run ?controller ?sampling:sampl ~config
-    ~warmup_insts:w.Workload.ref_offset ~program:w.Workload.program
-    ~input:w.Workload.reference ~max_insts:w.Workload.ref_window ()
-
-let config_baseline ?(config = config) (w : Workload.t) =
-  memoize (memo ())
-    (Printf.sprintf "%s/baseline/%s%s" w.Workload.name (config_tag config)
-       (sim_tag ()))
-  @@ fun () ->
-  run_cached ~key:(fun () -> run_key w ~config ~policy:"baseline" ~params:[])
-  @@ fun () -> sim_run w ~config
-
-let baseline (w : Workload.t) = config_baseline w
-
-let single_clock (w : Workload.t) ~mhz =
-  memoize (memo ())
-    (Printf.sprintf "%s/single/%d%s" w.Workload.name mhz (sim_tag ()))
-  @@ fun () ->
-  let config = Config.single_clock ~mhz in
-  run_cached ~key:(fun () -> run_key w ~config ~policy:"baseline" ~params:[])
-  @@ fun () -> sim_run w ~config
+(* --- the paper's methods as policies ------------------------------------ *)
 
 let input_tag = function `Train -> "train" | `Reference -> "ref"
 
@@ -326,18 +285,12 @@ let analyzed_plan ?threshold_insts ?shaker_passes ?(config = config)
       ~default:Mcd_profiling.Call_tree.default_threshold
   in
   let shaker = Option.value shaker_passes ~default:default_shaker_passes in
-  memoize (plan_memo ())
-    (Printf.sprintf "%s/%s/%s/th%d/sh%d/%s/%s" w.Workload.name
-       context.Context.name (input_tag train) threshold shaker
-       (Ckey.float_param slowdown_pct)
-       (config_tag config))
-  @@ fun () ->
+  let key () =
+    plan_key ~threshold ~shaker ~config w ~context ~train ~slowdown_pct
+  in
+  memoize (plan_memo ()) (Ckey.canonical (key ())) @@ fun () ->
   let encode, decode = plan_codec ~threshold w ~context ~train in
-  disk_cached
-    ~key:(fun () ->
-      plan_key ~threshold ~shaker ~config w ~context ~train ~slowdown_pct)
-    ~encode ~decode
-  @@ fun () ->
+  disk_cached ~key ~encode ~decode @@ fun () ->
   let input, _ = analysis_input w ~train in
   let trace_insts = analysis_trace_insts w ~train in
   let plan, _stats =
@@ -348,22 +301,6 @@ let analyzed_plan ?threshold_insts ?shaker_passes ?(config = config)
   plan
 
 let plan_for (w : Workload.t) ~context ~train = analyzed_plan w ~context ~train
-
-(* The production segment under an explicit plan: keyed by the plan's
-   content digest (plus workload, config, window and simulation mode
-   through [run_key]), so every ablation point sharing a plan shares
-   one cached run. *)
-let plan_run ?(config = config) (w : Workload.t) ~plan =
-  let digest = Digest.to_hex (Digest.string (Mcd_core.Plan_io.to_string plan)) in
-  memoize (memo ())
-    (Printf.sprintf "%s/plan/%s/%s%s" w.Workload.name digest
-       (config_tag config) (sim_tag ()))
-  @@ fun () ->
-  run_cached
-    ~key:(fun () -> run_key w ~config ~policy:"plan" ~params:[ digest ])
-  @@ fun () ->
-  let edited = Editor.edit plan in
-  sim_run ~controller:edited.Editor.controller w ~config
 
 (* The result path for shipped plans: rebuild the profiling tree from
    exactly the derivation Analyze/plan_for use ({!training_tree}), then
@@ -387,182 +324,126 @@ let oracle_analysis (w : Workload.t) =
     ~trace_insts:(w.Workload.ref_offset + w.Workload.ref_window)
     ~config ()
 
-let offline_policy_params slowdown_pct =
-  [
-    Ckey.float_param slowdown_pct;
-    string_of_int Mcd_core.Oracle.default_interval_insts;
-  ]
+(* The paper's methods are feed-forward policies bound to a workload:
+   their parameters name the analysis behind them, and [create] plays
+   the analysis back, reading it through the plan and oracle caches. A
+   run that hits its own key never builds a controller, so it never
+   pays for the analysis either. *)
+let plan_policy plan =
+  let digest = Digest.to_hex (Digest.string (Mcd_core.Plan_io.to_string plan)) in
+  Policy.make ~name:"plan" ~doc:"an explicit plan, edited in"
+    ~params:[ digest ] ~feedback:false
+    (fun ?sink:_ () -> (Editor.edit plan).Editor.controller)
 
-let offline_run ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) =
-  (* memoized at every slowdown: the memo key carries the canonical
-     [Ckey.float_param] rendering rather than gating on float equality
-     with the default, so sweep points are cached in-process too *)
-  memoize (memo ())
-    (Printf.sprintf "%s/offline/%s%s" w.Workload.name
-       (Ckey.float_param slowdown_pct)
-       (sim_tag ()))
-  @@ fun () ->
-  run_cached
-    ~key:(fun () ->
-      run_key w ~config ~policy:"offline"
-        ~params:(offline_policy_params slowdown_pct))
-  @@ fun () ->
-  let schedule =
-    Mcd_core.Oracle.schedule_of (oracle_analysis w) ~slowdown_pct
-  in
-  sim_run ~controller:(Mcd_core.Oracle.policy schedule) w ~config
+let offline_policy ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) =
+  Policy.make ~name:"offline"
+    ~doc:"off-line oracle: the production run's own per-interval schedule"
+    ~params:
+      [
+        Ckey.float_param slowdown_pct;
+        string_of_int Mcd_core.Oracle.default_interval_insts;
+      ]
+    ~feedback:false
+    (fun ?sink:_ () ->
+      Mcd_core.Oracle.policy
+        (Mcd_core.Oracle.schedule_of (oracle_analysis w) ~slowdown_pct))
 
-let profile_run_uncached (w : Workload.t) ~plan =
-  let edited = Editor.edit plan in
-  let run = sim_run ~controller:edited.Editor.controller w ~config in
-  { run; plan = Lazy.from_val plan; counters = edited.Editor.counters }
+let profile_plan ~slowdown_pct (w : Workload.t) ~context ~train =
+  let base = plan_for w ~context ~train in
+  if slowdown_pct = default_slowdown_pct then base
+  else Plan.with_slowdown base ~slowdown_pct
 
-(* A profiled run's cached payload is the run plus the editor counters;
-   the plan itself is recovered through [plan_for]'s own cache, so it is
-   not duplicated in every profiled-run object. *)
-let encode_profiled pr =
-  Printf.sprintf "profiled 1\nreconfig_execs %d\ninstr_execs %d\n%s"
-    pr.counters.Editor.reconfig_execs pr.counters.Editor.instr_execs
-    (Metrics.encode pr.run)
+let profile_policy ?(slowdown_pct = default_slowdown_pct) ?(train = `Train)
+    ~context (w : Workload.t) =
+  Policy.make ~name:"profile"
+    ~doc:"profile-driven reconfiguration (edited binary)"
+    ~params:
+      [
+        context.Context.name;
+        input_tag train;
+        Ckey.float_param slowdown_pct;
+        string_of_int analysis_profile_insts;
+        string_of_int (analysis_trace_insts w ~train);
+      ]
+    ~feedback:false
+    (fun ?sink:_ () ->
+      (Editor.edit (profile_plan ~slowdown_pct w ~context ~train))
+        .Editor.controller)
 
-let decode_profiled ~plan_of payload =
-  let ( let* ) = Result.bind in
-  let int_field name line =
-    match String.split_on_char ' ' line with
-    | [ n; v ] when n = name -> (
-        match int_of_string_opt v with
-        | Some v -> Result.Ok v
-        | None -> Result.Error (Printf.sprintf "bad %s value %S" name v))
-    | _ -> Result.Error (Printf.sprintf "expected %S line, got %S" name line)
-  in
-  match String.index_opt payload '\n' with
-  | None -> Result.Error "truncated profiled payload"
-  | Some e1 -> (
-      if String.sub payload 0 e1 <> "profiled 1" then
-        Result.Error "bad profiled header"
-      else
-        match String.index_from_opt payload (e1 + 1) '\n' with
-        | None -> Result.Error "truncated profiled payload"
-        | Some e2 -> (
-            match String.index_from_opt payload (e2 + 1) '\n' with
-            | None -> Result.Error "truncated profiled payload"
-            | Some e3 ->
-                let* reconfig_execs =
-                  int_field "reconfig_execs"
-                    (String.sub payload (e1 + 1) (e2 - e1 - 1))
-                in
-                let* instr_execs =
-                  int_field "instr_execs"
-                    (String.sub payload (e2 + 1) (e3 - e2 - 1))
-                in
-                let* run =
-                  Metrics.decode
-                    (String.sub payload (e3 + 1)
-                       (String.length payload - e3 - 1))
-                in
-                Result.Ok
-                  {
-                    run;
-                    (* lazy on purpose: a warm disk hit must not pay
-                       [plan_for]'s profiler walk for a plan most
-                       callers never read *)
-                    plan = lazy (plan_of ());
-                    counters = { Editor.reconfig_execs; instr_execs };
-                  }))
+let policy_of_name ?(context = Context.lf) ?slowdown_pct name w =
+  match name with
+  | "offline" -> Some (offline_policy ?slowdown_pct w)
+  | "profile" -> Some (profile_policy ?slowdown_pct ~context w)
+  | name -> Policies.by_name name
 
-let profile_policy_params (w : Workload.t) ~context ~train ~slowdown_pct =
-  [
-    context.Context.name;
-    input_tag train;
-    Ckey.float_param slowdown_pct;
-    string_of_int analysis_profile_insts;
-    string_of_int (analysis_trace_insts w ~train);
-  ]
+let policy_names = Policies.names () @ [ "offline"; "profile" ]
 
-let profile_run ?(slowdown_pct = default_slowdown_pct) (w : Workload.t)
-    ~context ~train =
-  let plan_of () =
-    let base = plan_for w ~context ~train in
-    if slowdown_pct = default_slowdown_pct then base
-    else Plan.with_slowdown base ~slowdown_pct
-  in
-  memoize (profiled_memo ())
-    (Printf.sprintf "%s/%s/%s/%s%s/run" w.Workload.name context.Context.name
-       (input_tag train)
-       (Ckey.float_param slowdown_pct)
-       (sim_tag ()))
-  @@ fun () ->
-  disk_cached
-    ~key:(fun () ->
-      run_key w ~config ~policy:"profile"
-        ~params:(profile_policy_params w ~context ~train ~slowdown_pct))
-    ~encode:encode_profiled
-    ~decode:(decode_profiled ~plan_of)
-  @@ fun () -> profile_run_uncached w ~plan:(plan_of ())
+let contenders w =
+  Policies.contenders ()
+  @ [ offline_policy w; profile_policy ~context:Context.lf w ]
 
-let online_policy_params = Attack_decay.params_id
+(* --- the one run path -------------------------------------------------- *)
 
-(* --- the generic policy path ------------------------------------------- *)
-
-(* Every {!Mcd_control.Policy.t} runs through one entry point. Feedback
-   policies are always simulated exactly, whatever the global
+(* Feedback policies are always simulated exactly, whatever the global
    [sim_mode]: a cycle-driven feedback loop (attack/decay, PID,
    cache-aware, util-prop all read queue occupancy or miss counters
    every interval) cannot observe skipped instances — under sampling it
    reacts to a sparse, unrepresentative subsequence of intervals and
    its frequency trajectory diverges from the exact run by tens of
-   points. Feed-forward policies (baseline, fixed, offline, profile)
-   react to the marker stream, which sampling preserves, so they sample
-   safely. Because a feedback result is mode-independent, so are its
-   keys ([~modal:false], no [sim_tag]): a sampled bench pass reuses the
+   points. Feed-forward policies (baseline, fixed, plan, offline,
+   profile) react to the marker stream, which sampling preserves, so
+   they sample safely. Because a feedback result is mode-independent,
+   so is its key ([~modal:false]): a sampled bench pass reuses the
    on-line runs the exact pass already cached. *)
-let policy_key (p : Policy.t) (w : Workload.t) =
-  run_key
-    ~modal:(not p.Policy.feedback)
-    w ~config ~policy:p.Policy.name ~params:p.Policy.params
+let policy_key ?(config = config) (p : Policy.t) (w : Workload.t) =
+  run_key ~modal:(not p.Policy.feedback) w ~config ~policy:p.Policy.name
+    ~params:p.Policy.params
 
-let policy_run (p : Policy.t) (w : Workload.t) =
-  (* memoized on the disk key's canonical line: it already names the
-     policy with all parameters, the workload, the config and (for
-     modal runs) the simulation mode, so two parameterisations of one
-     policy can never serve each other's numbers in-process either *)
-  let key = policy_key p w in
-  memoize (memo ()) ("policy/" ^ Ckey.canonical key)
-  @@ fun () ->
-  run_cached ~key:(fun () -> key)
-  @@ fun () ->
-  let controller = p.Policy.create () in
-  if p.Policy.feedback then sim_run ~sampling:None ~controller w ~config
-  else sim_run ~controller w ~config
+let encode_profiled (run, (counters : Editor.counters)) =
+  Printf.sprintf "profiled 1\nreconfig_execs %d\ninstr_execs %d\n%s"
+    counters.Editor.reconfig_execs counters.Editor.instr_execs
+    (Metrics.encode run)
 
-let online_run ?params (w : Workload.t) =
-  policy_run (Attack_decay.policy ?params ()) w
+let decode_profiled payload =
+  match
+    Scanf.sscanf payload "profiled 1\nreconfig_execs %d\ninstr_execs %d\n%n"
+      (fun reconfig_execs instr_execs n ->
+        ({ Editor.reconfig_execs; instr_execs }, n))
+  with
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+      Result.Error "bad profiled header"
+  | counters, n ->
+      Result.map
+        (fun run -> (run, counters))
+        (Metrics.decode (String.sub payload n (String.length payload - n)))
 
-(* Traced variant of the per-policy runs: never memoized (the sink is a
-   side channel — a cached Metrics.run would leave it empty), and the
-   end-of-run aggregates are mirrored into the sink's registry as
-   gauges so an exported metrics.jsonl is self-contained. *)
-let observed_run ?(policy = `Profile) ?(context = Context.lf) ~sink
-    (w : Workload.t) =
-  let controller =
-    match policy with
-    | `Baseline -> None
-    | `Online -> Some (Attack_decay.controller ~sink ())
-    | `Offline ->
-        let schedule =
-          Mcd_core.Oracle.schedule_of (oracle_analysis w)
-            ~slowdown_pct:default_slowdown_pct
-        in
-        Some (Mcd_core.Oracle.policy schedule)
-    | `Profile ->
-        let plan = plan_for w ~context ~train:`Train in
-        Some (Editor.edit plan).Editor.controller
+(* Table 4's dynamic point counts travel with the run only for the
+   profile method: its stored payload is the "profiled 1" container,
+   every other payload the bare run. *)
+let run_codec (p : Policy.t) =
+  if p.Policy.name = "profile" then (encode_profiled, decode_profiled)
+  else
+    ( (fun (run, _) -> Metrics.encode run),
+      fun payload ->
+        Result.map
+          (fun run -> (run, { Editor.reconfig_execs = 0; instr_execs = 0 }))
+          (Metrics.decode payload) )
+
+let simulate ?sink ~config (p : Policy.t) (w : Workload.t) =
+  let edited = Editor.count (p.Policy.create ?sink ()) in
+  let sampling =
+    if p.Policy.feedback || Option.is_some sink then None else sampling ()
   in
   let run =
-    Pipeline.run ?controller ~sink ~config
+    Pipeline.run ~controller:edited.Editor.controller ?sink ?sampling ~config
       ~warmup_insts:w.Workload.ref_offset ~program:w.Workload.program
       ~input:w.Workload.reference ~max_insts:w.Workload.ref_window ()
   in
+  (run, edited.Editor.counters)
+
+(* The end-of-run aggregates mirrored into a sink's registry as gauges,
+   so an exported metrics.jsonl is self-contained. *)
+let mirror_run sink (run : Metrics.run) =
   let m = Mcd_obs.Sink.metrics sink in
   let g name v = Mcd_obs.Metrics.set (Mcd_obs.Metrics.gauge m name) v in
   g "run.runtime_ps" (float_of_int run.Metrics.runtime_ps);
@@ -571,35 +452,74 @@ let observed_run ?(policy = `Profile) ?(context = Context.lf) ~sink
   g "run.cycles_front" (float_of_int run.Metrics.cycles_front);
   g "run.sync_crossings" (float_of_int run.Metrics.sync_crossings);
   g "run.sync_penalties" (float_of_int run.Metrics.sync_penalties);
-  g "run.reconfigurations" (float_of_int run.Metrics.reconfigurations);
-  run
+  g "run.reconfigurations" (float_of_int run.Metrics.reconfigurations)
 
-(* --- served requests --------------------------------------------------- *)
+(* Every production run: memoized on its store key's canonical line
+   (which names the policy with all parameters, the workload, the config
+   and, for modal runs, the simulation mode), read through the store,
+   simulated only on a miss. A sink is a side channel a cached result
+   would leave empty, so an observed run always simulates, exactly; an
+   attached sink does not change the run (test_obs pins the bytes), so
+   its result then serves the exact-mode key like any other. *)
+let counted_run ?(config = config) ?sink (p : Policy.t) (w : Workload.t) =
+  let encode, decode = run_codec p in
+  match sink with
+  | None ->
+      let key = policy_key ~config p w in
+      memoize (memo ()) (Ckey.canonical key) @@ fun () ->
+      disk_cached ~key:(fun () -> key) ~encode ~decode @@ fun () ->
+      simulate ~config p w
+  | Some sink ->
+      let key =
+        run_key ~modal:false w ~config ~policy:p.Policy.name
+          ~params:p.Policy.params
+      in
+      let ((run, _) as result) = simulate ~sink ~config p w in
+      mirror_run sink run;
+      Hashtbl.replace (memo ()) (Ckey.canonical key) result;
+      Option.iter
+        (fun store -> Cstore.add store key (encode result))
+        (Cstore.default ());
+      result
 
-(* The experiment service coalesces concurrent identical requests by
-   content-addressed digest, so a request's key must be exactly the key
-   the underlying run is cached under — and parameters a policy does not
-   consume must be normalized away (a baseline run at slowdown 5% and
-   one at 9% are the same computation and must coalesce). *)
-let request_policy (w : Workload.t) ~policy ~context ~slowdown_pct =
-  match policy with
-  | `Baseline -> ("baseline", [])
-  | `Online -> ("online", online_policy_params Attack_decay.default_params)
-  | `Offline -> ("offline", offline_policy_params slowdown_pct)
-  | `Profile ->
-      ( "profile",
-        profile_policy_params w ~context ~train:`Train ~slowdown_pct )
+let policy_run ?config ?sink p w = fst (counted_run ?config ?sink p w)
 
-let request_key (w : Workload.t) ~policy ~context ~slowdown_pct =
-  let name, params = request_policy w ~policy ~context ~slowdown_pct in
-  run_key ~modal:(policy <> `Online) w ~config ~policy:name ~params
+let config_baseline ?config w = policy_run ?config Policies.baseline w
+let baseline w = config_baseline w
 
-let run_request (w : Workload.t) ~policy ~context ~slowdown_pct =
-  match policy with
-  | `Baseline -> baseline w
-  | `Online -> online_run w
-  | `Offline -> offline_run ~slowdown_pct w
-  | `Profile -> (profile_run ~slowdown_pct w ~context ~train:`Train).run
+let single_clock w ~mhz =
+  config_baseline ~config:(Config.single_clock ~mhz) w
+
+let plan_run ?config w ~plan = policy_run ?config (plan_policy plan) w
+let offline_run ?slowdown_pct w = policy_run (offline_policy ?slowdown_pct w) w
+
+let online_run ?params w =
+  policy_run (Mcd_control.Attack_decay.policy ?params ()) w
+
+let profile_run ?(slowdown_pct = default_slowdown_pct) w ~context ~train =
+  let run, counters =
+    counted_run (profile_policy ~slowdown_pct ~train ~context w) w
+  in
+  (* lazy on purpose: a warm disk hit must not pay [plan_for]'s profiler
+     walk for a plan most callers never read *)
+  { run; plan = lazy (profile_plan ~slowdown_pct w ~context ~train); counters }
+
+(* The four-method variant perfbench/cold.ml still speaks. *)
+let method_policy ?context ?slowdown_pct m w =
+  let name =
+    match m with
+    | `Baseline -> "baseline"
+    | `Online -> "online"
+    | `Offline -> "offline"
+    | `Profile -> "profile"
+  in
+  Option.get (policy_of_name ?context ?slowdown_pct name w)
+
+let observed_run ?(policy = `Profile) ?context ~sink w =
+  policy_run ~sink (method_policy ?context policy w) w
+
+let request_key w ~policy ~context ~slowdown_pct =
+  policy_key (method_policy ~context ~slowdown_pct policy w) w
 
 (* The paper's "global" bar: a single-clock processor scaled so that its
    total runtime matches the off-line algorithm's. A first-order 1/f

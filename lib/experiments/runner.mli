@@ -97,20 +97,6 @@ val training_tree :
     {!Mcd_profiling.Call_tree.default_threshold}) is the long-running
     cutoff, overridden by threshold-ablation plans. *)
 
-val baseline : Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** MCD, all domains at full speed, reference input. Cached. *)
-
-val config_baseline :
-  ?config:Mcd_cpu.Config.t ->
-  Mcd_workloads.Workload.t ->
-  Mcd_power.Metrics.run
-(** {!baseline} at an explicit processor configuration (default: the
-    Table-1 core, where it shares {!baseline}'s cache objects). The
-    narrow-core ablation's baseline segment. *)
-
-val single_clock : Mcd_workloads.Workload.t -> mhz:int -> Mcd_power.Metrics.run
-(** Globally synchronous run at [mhz]. Cached per frequency. *)
-
 val plan_for :
   Mcd_workloads.Workload.t ->
   context:Mcd_profiling.Context.t ->
@@ -139,15 +125,6 @@ val analyzed_plan :
     ({!plan_run}). Always computed exactly, independent of the
     simulation mode. *)
 
-val plan_run :
-  ?config:Mcd_cpu.Config.t ->
-  Mcd_workloads.Workload.t ->
-  plan:Mcd_core.Plan.t ->
-  Mcd_power.Metrics.run
-(** The production {e segment}: edit per [plan] and run the reference
-    input at [config]. Keyed by the plan's content digest, so ablation
-    points whose knob did not change the plan share one cached run. *)
-
 val load_plan :
   ?train:[ `Train | `Reference ] ->
   Mcd_workloads.Workload.t ->
@@ -161,13 +138,109 @@ val load_plan :
     with {!plan_for}, a plan saved from [plan_for w ~context ~train]
     always round-trips warning-free. *)
 
+(** {2 The paper's methods as policies}
+
+    Feed-forward {!Mcd_control.Policy.t} values bound to a workload:
+    [create] plays back the oracle schedule or the edited plan, read
+    through the oracle and plan caches, so a run that hits its own key
+    never pays for the analysis. *)
+
+val offline_policy :
+  ?slowdown_pct:float -> Mcd_workloads.Workload.t -> Mcd_control.Policy.t
+(** The interval-based off-line oracle ({!Mcd_core.Oracle}): the
+    production run's own per-interval schedule, played back. *)
+
+val profile_policy :
+  ?slowdown_pct:float ->
+  ?train:[ `Train | `Reference ] ->
+  context:Mcd_profiling.Context.t ->
+  Mcd_workloads.Workload.t ->
+  Mcd_control.Policy.t
+(** Profile-driven reconfiguration: the binary edited per the plan for
+    [context] trained on [train] (default [`Train]), re-thresholded to
+    [slowdown_pct]. Its params include the workload's trace window. *)
+
+val plan_policy : Mcd_core.Plan.t -> Mcd_control.Policy.t
+(** The binary edited per an explicit plan, keyed by its content
+    digest. *)
+
+val policy_of_name :
+  ?context:Mcd_profiling.Context.t ->
+  ?slowdown_pct:float ->
+  string ->
+  Mcd_workloads.Workload.t ->
+  Mcd_control.Policy.t option
+(** A {!Mcd_control.Policies} registry label, ["offline"] or
+    ["profile"] (in [context], default L+F). Parameters a policy does
+    not consume are ignored, so equivalent requests share a key. *)
+
+val policy_names : string list
+(** The labels {!policy_of_name} resolves: the registry's, then
+    ["offline"] and ["profile"]. *)
+
+val contenders : Mcd_workloads.Workload.t -> Mcd_control.Policy.t list
+(** The tournament field on one workload: the registry's contenders,
+    then the off-line oracle and profile L+F. *)
+
+(** {2 The one run path} *)
+
+val policy_run :
+  ?config:Mcd_cpu.Config.t ->
+  ?sink:Mcd_obs.Sink.t ->
+  Mcd_control.Policy.t ->
+  Mcd_workloads.Workload.t ->
+  Mcd_power.Metrics.run
+(** Every production run: the reference input under a fresh controller
+    from the policy's [create], at [config] (default the Table-1 core),
+    memoized under {!policy_key}, read through the persistent store and
+    simulated only on a miss. Feedback policies always simulate exactly
+    (their loops diverge under phase sampling) and key
+    mode-independently; feed-forward policies follow {!sim_mode}.
+
+    With [sink] the run always simulates, exactly, filling the sink and
+    mirroring the run's aggregates into its registry as [run.*] gauges.
+    A sink does not change the run, so the result is then memoized and
+    stored under the exact-mode key. *)
+
+val policy_key :
+  ?config:Mcd_cpu.Config.t ->
+  Mcd_control.Policy.t ->
+  Mcd_workloads.Workload.t ->
+  Mcd_cache.Key.t
+(** The persistent-store key {!policy_run} caches under, naming the
+    policy by its canonical {!Mcd_cache.Key.policy_fragment}. A served
+    request's digest is this key's. *)
+
+val baseline : Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
+(** MCD, all domains at full speed, reference input. Cached. *)
+
+val config_baseline :
+  ?config:Mcd_cpu.Config.t ->
+  Mcd_workloads.Workload.t ->
+  Mcd_power.Metrics.run
+(** {!baseline} at an explicit processor configuration (default: the
+    Table-1 core, where it shares {!baseline}'s cache objects). The
+    narrow-core ablation's baseline segment. *)
+
+val single_clock : Mcd_workloads.Workload.t -> mhz:int -> Mcd_power.Metrics.run
+(** Globally synchronous run at [mhz]. Cached per frequency. *)
+
+val plan_run :
+  ?config:Mcd_cpu.Config.t ->
+  Mcd_workloads.Workload.t ->
+  plan:Mcd_core.Plan.t ->
+  Mcd_power.Metrics.run
+(** {!policy_run} of {!plan_policy}: ablation points whose knob did
+    not change the plan share one cached run. *)
+
 val offline_run :
   ?slowdown_pct:float -> Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** The interval-based off-line oracle ({!Mcd_core.Oracle}): analyse the
-    production run with perfect knowledge, play the per-interval schedule
-    back. Cached at every slowdown — the key carries the canonical
-    ({!Mcd_cache.Key.float_param}) rendering of [slowdown_pct], so sweep
-    points memoize instead of re-simulating. *)
+(** {!policy_run} of {!offline_policy}. Cached at every slowdown. *)
+
+val online_run :
+  ?params:Mcd_control.Attack_decay.params -> Mcd_workloads.Workload.t ->
+  Mcd_power.Metrics.run
+(** {!policy_run} of {!Mcd_control.Attack_decay.policy}. *)
 
 type profiled_run = {
   run : Mcd_power.Metrics.run;
@@ -177,6 +250,7 @@ type profiled_run = {
           profiler walk). Consumers that only need [run] never pay
           it. *)
   counters : Mcd_core.Editor.counters;
+      (** Table 4's dynamic points, by {!Mcd_core.Editor.count} *)
 }
 
 val profile_run :
@@ -185,30 +259,10 @@ val profile_run :
   context:Mcd_profiling.Context.t ->
   train:[ `Train | `Reference ] ->
   profiled_run
-(** Edit per the (possibly re-thresholded) plan and run the reference
-    input. Cached at every slowdown, like {!offline_run}. *)
+(** {!policy_run} of {!profile_policy}, with its plan and points. Each
+    call builds a fresh record around the memoized run. *)
 
-val policy_run :
-  Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** The generic policy entry point: build a fresh controller with the
-    policy's [create], run the reference input, cache under
-    {!policy_key}. Feedback policies are always simulated exactly
-    (their cycle-driven loops diverge under phase sampling) and keyed
-    mode-independently; feed-forward policies follow the global
-    {!sim_mode}. *)
-
-val policy_key :
-  Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
-(** The persistent-store key {!policy_run} caches under: the shared
-    run-key layout with the policy's canonical
-    {!Mcd_cache.Key.policy_fragment} identity, so two policies (or one
-    policy at two parameter settings) can never collide. *)
-
-val online_run :
-  ?params:Mcd_control.Attack_decay.params -> Mcd_workloads.Workload.t ->
-  Mcd_power.Metrics.run
-(** {!policy_run} of {!Mcd_control.Attack_decay.policy} — the
-    attack/decay run on the reference input. *)
+(** {2 The method variant perfbench still calls} *)
 
 val observed_run :
   ?policy:[ `Baseline | `Online | `Offline | `Profile ] ->
@@ -216,19 +270,8 @@ val observed_run :
   sink:Mcd_obs.Sink.t ->
   Mcd_workloads.Workload.t ->
   Mcd_power.Metrics.run
-(** Run the reference input under the chosen policy (default [`Profile]
-    in [context], default LF) with the observability [sink] attached:
-    interval samples, reconfiguration/decision/sync events and
-    frequency-residency histograms land in the sink, and the run's
-    end-of-run aggregates are mirrored into its registry as [run.*]
-    gauges. Never cached — a memoized result would leave the sink
-    empty. The plan/oracle analyses behind [`Profile] and [`Offline]
-    still come from the shared caches. *)
-
-(** {2 Served requests}
-
-    The experiment service ({!Mcd_serve}) expresses work as
-    [(workload, policy, context, slowdown)] requests. *)
+(** {!policy_run} [~sink] of the method's {!policy_of_name} policy
+    (default [`Profile] in [context], default L+F). *)
 
 val request_key :
   Mcd_workloads.Workload.t ->
@@ -236,23 +279,7 @@ val request_key :
   context:Mcd_profiling.Context.t ->
   slowdown_pct:float ->
   Mcd_cache.Key.t
-(** The content-addressed identity of a served request — {e exactly}
-    the persistent-store key the underlying run is cached under, so
-    serving a request warm reads the same object a one-shot CLI run
-    wrote. Parameters a policy does not consume are normalized away
-    (baseline/online ignore context and slowdown, offline ignores
-    context), so equivalent requests always coalesce. *)
-
-val run_request :
-  Mcd_workloads.Workload.t ->
-  policy:[ `Baseline | `Offline | `Online | `Profile ] ->
-  context:Mcd_profiling.Context.t ->
-  slowdown_pct:float ->
-  Mcd_power.Metrics.run
-(** Dispatch to the matching cached entry point ({!baseline},
-    {!offline_run}, {!online_run}, {!profile_run} at [`Train]); the
-    result is byte-identical (under {!Mcd_power.Metrics.encode}) to the
-    corresponding one-shot call. *)
+(** {!policy_key} of the method's {!policy_of_name} policy. *)
 
 val global_dvs_run :
   Mcd_workloads.Workload.t -> target_runtime_ps:int -> Mcd_power.Metrics.run * int

@@ -1,13 +1,14 @@
 module Workload = Mcd_workloads.Workload
 module Suite = Mcd_workloads.Suite
 module Policy = Mcd_control.Policy
-module Policies = Mcd_control.Policies
 module Table = Mcd_util.Table
 module Stats = Mcd_util.Stats
 module Json = Mcd_obs.Json
 
 type entry = {
-  policy : Policy.t;
+  label : string;
+  name : string;
+  params : string list option;
   per_workload : (string * Runner.comparison) list;
   mean : Runner.comparison;
   rank : int;
@@ -44,7 +45,7 @@ let dominates a b =
   && (a.Runner.degradation_pct < b.Runner.degradation_pct
      || a.Runner.savings_pct > b.Runner.savings_pct)
 
-let run ?(policies = Policies.contenders ()) ?(workloads = Suite.all) () =
+let run ?(contenders = Runner.contenders) ?(workloads = Suite.all) () =
   (* fan out per workload: a worker simulates every contender on its
      benchmark, so the baseline run is computed once per worker and the
      long pole (one slow benchmark) bounds the sweep *)
@@ -54,21 +55,36 @@ let run ?(policies = Policies.contenders ()) ?(workloads = Suite.all) () =
         let baseline = Runner.baseline w in
         ( w.Workload.name,
           List.map
-            (fun p ->
-              (p.Policy.label, Runner.compare_runs ~baseline (Runner.policy_run p w)))
-            policies ))
+            (fun (p : Policy.t) ->
+              ( p.Policy.label,
+                (p, Runner.compare_runs ~baseline (Runner.policy_run p w)) ))
+            (contenders w) ))
       workloads
   in
+  let entry (label, ((p : Policy.t), _)) =
+    let cells =
+      List.map (fun (wname, cells) -> (wname, List.assoc label cells)) columns
+    in
+    (* a policy bound to each workload (profile's trace window is the
+       workload's own) has no params of its own to report *)
+    let shared =
+      List.for_all
+        (fun (_, ((q : Policy.t), _)) -> q.Policy.params = p.Policy.params)
+        cells
+    in
+    let per_workload = List.map (fun (wname, (_, c)) -> (wname, c)) cells in
+    {
+      label;
+      name = p.Policy.name;
+      params = (if shared then Some p.Policy.params else None);
+      per_workload;
+      mean = mean_of (List.map snd per_workload);
+      rank = 0;
+      pareto = false;
+    }
+  in
   let unranked =
-    List.map
-      (fun p ->
-        let id = p.Policy.label in
-        let per_workload =
-          List.map (fun (wname, cells) -> (wname, List.assoc id cells)) columns
-        in
-        let mean = mean_of (List.map snd per_workload) in
-        { policy = p; per_workload; mean; rank = 0; pareto = false })
-      policies
+    match columns with [] -> [] | (_, first) :: _ -> List.map entry first
   in
   let sorted =
     List.sort
@@ -77,7 +93,7 @@ let run ?(policies = Policies.contenders ()) ?(workloads = Suite.all) () =
           compare b.mean.Runner.ed_improvement_pct
             a.mean.Runner.ed_improvement_pct
         with
-        | 0 -> compare a.policy.Policy.label b.policy.Policy.label
+        | 0 -> compare a.label b.label
         | c -> c)
       unranked
   in
@@ -104,7 +120,7 @@ let render t =
       (fun e ->
         [
           string_of_int e.rank;
-          e.policy.Policy.label;
+          e.label;
           Table.fmt_pct e.mean.Runner.degradation_pct;
           Table.fmt_pct e.mean.Runner.savings_pct;
           Table.fmt_pct e.mean.Runner.ed_improvement_pct;
@@ -138,15 +154,15 @@ let to_json t =
                Json.Obj
                  ([
                     ("rank", Json.Int e.rank);
-                    ("policy", Json.String e.policy.Policy.label);
-                    ("name", Json.String e.policy.Policy.name);
-                    ( "params",
-                      Json.List
-                        (List.map
-                           (fun p -> Json.String p)
-                           e.policy.Policy.params) );
-                    ("pareto", Json.Bool e.pareto);
+                    ("policy", Json.String e.label);
+                    ("name", Json.String e.name);
                   ]
+                 @ Option.to_list
+                     (Option.map
+                        (fun ps ->
+                          ("params", Json.List (List.map (fun p -> Json.String p) ps)))
+                        e.params)
+                 @ [ ("pareto", Json.Bool e.pareto) ]
                  @ comparison_fields e.mean
                  @ [
                      ( "per_workload",

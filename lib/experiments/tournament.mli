@@ -1,17 +1,24 @@
-(** The policy tournament: every registered policy raced on the same
+(** The policy tournament: every contender raced on the same
     benchmarks, scored on the paper's three axes.
 
-    Each contender from the {!Mcd_control.Policies} registry is
-    simulated on each workload through {!Runner.policy_run} (so every
-    cell is cached under the policy's own canonical key), compared
-    against the shared MCD baseline, and ranked by mean
-    energy x delay improvement. Because ED improvement is a
-    scalarisation of the other two axes, the report also flags the
-    degradation/savings Pareto frontier: a policy nobody beats on both
-    axes at once survives even if its ED rank is middling. *)
+    The contenders on a workload ({!Runner.contenders}: the
+    {!Mcd_control.Policies} registry, the off-line oracle and profile
+    L+F) are each simulated through {!Runner.policy_run} (so every cell
+    is cached under the policy's own canonical key), compared against
+    the shared MCD baseline, and ranked by mean energy x delay
+    improvement. Because ED improvement is a scalarisation of the other
+    two axes, the report also flags the degradation/savings Pareto
+    frontier: a policy nobody beats on both axes at once survives even
+    if its ED rank is middling. *)
 
 type entry = {
-  policy : Mcd_control.Policy.t;
+  label : string;  (** the policy's label, its identity in the report *)
+  name : string;  (** the policy's cache-key name *)
+  params : string list option;
+      (** the canonical params, when the policy ran with the same ones
+          on every workload; [None] for a workload-bound policy whose
+          params differ (profile's trace window is the workload's
+          own) *)
   per_workload : (string * Runner.comparison) list;
       (** per-benchmark scores, in workload order *)
   mean : Runner.comparison;  (** unweighted mean over the workloads *)
@@ -30,13 +37,14 @@ val quick_names : string list
 val quick_workloads : unit -> Mcd_workloads.Workload.t list
 
 val run :
-  ?policies:Mcd_control.Policy.t list ->
+  ?contenders:(Mcd_workloads.Workload.t -> Mcd_control.Policy.t list) ->
   ?workloads:Mcd_workloads.Workload.t list ->
   unit ->
   t
-(** Race [policies] (default {!Mcd_control.Policies.contenders}) on
+(** Race [contenders w] (default {!Runner.contenders}) on each of
     [workloads] (default the full 19-benchmark suite), fanning out per
-    workload over {!Runner.map_workloads}. *)
+    workload over {!Runner.map_workloads}. Entries follow the labels of
+    the first workload's contenders. *)
 
 val render : t -> string
 (** The ranked human table. *)
@@ -45,4 +53,5 @@ val to_json : t -> Mcd_obs.Json.t
 (** Machine-readable report, schema ["mcd-dvfs-tournament/1"]: the
     workload list plus one object per entry with rank, policy identity
     (label, name, canonical params), Pareto flag, the three mean axes
-    and the per-workload breakdown. *)
+    and the per-workload breakdown. An entry whose params differ across
+    workloads has no ["params"]. *)

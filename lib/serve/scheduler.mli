@@ -7,7 +7,7 @@
     of serving simulations from a daemon instead of one-shot processes.
 
     {b Coalescing.} Every request carries a content-addressed digest
-    (see {!Mcd_experiments.Runner.request_key}); a submit whose digest
+    (see {!Mcd_experiments.Runner.policy_key}); a submit whose digest
     matches a job already in the table — queued, running, or finished —
     attaches to that job instead of enqueueing a duplicate. Concurrent
     identical requests ride one computation; late identical requests

@@ -45,12 +45,6 @@ let default_config ~socket =
 
 (* --- request resolution ------------------------------------------------ *)
 
-let policy_of_wire = function
-  | Protocol.Baseline -> `Baseline
-  | Protocol.Offline -> `Offline
-  | Protocol.Online -> `Online
-  | Protocol.Profile -> `Profile
-
 let resolve (r : Protocol.request) =
   match Mcd_workloads.Suite.find_opt r.workload with
   | None ->
@@ -69,21 +63,24 @@ let resolve (r : Protocol.request) =
       | context ->
           if not (Float.is_finite r.slowdown_pct) || r.slowdown_pct < 0.0 then
             Result.Error "slowdown must be a non-negative finite percentage"
-          else Ok (w, policy_of_wire r.policy, context))
+          else
+            let name = Protocol.policy_name r.policy in
+            match
+              Runner.policy_of_name ~context ~slowdown_pct:r.slowdown_pct
+                name w
+            with
+            | Some p -> Ok (p, w)
+            | None -> Result.Error (Printf.sprintf "unknown policy %S" name))
 
 let request_digest (r : Protocol.request) =
   Result.map
-    (fun (w, policy, context) ->
-      Mcd_cache.Key.digest
-        (Runner.request_key w ~policy ~context ~slowdown_pct:r.slowdown_pct))
+    (fun (p, w) -> Mcd_cache.Key.digest (Runner.policy_key p w))
     (resolve r)
 
 let compute (r : Protocol.request) =
   match resolve r with
   | Result.Error msg -> invalid_arg ("Server.compute: " ^ msg)
-  | Ok (w, policy, context) ->
-      Mcd_power.Metrics.encode
-        (Runner.run_request w ~policy ~context ~slowdown_pct:r.slowdown_pct)
+  | Ok (p, w) -> Mcd_power.Metrics.encode (Runner.policy_run p w)
 
 (* --- socket setup ------------------------------------------------------ *)
 

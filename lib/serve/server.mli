@@ -97,21 +97,19 @@ val default_config : socket:string -> config
 
 val resolve :
   Protocol.request ->
-  ( Mcd_workloads.Workload.t
-    * [ `Baseline | `Offline | `Online | `Profile ]
-    * Mcd_profiling.Context.t,
-    string )
-  result
+  (Mcd_control.Policy.t * Mcd_workloads.Workload.t, string) result
 (** Validate a wire request against the workload suite and context
-    table. [Error reason] becomes a [Bad_request] rejection. *)
+    table and resolve its policy through
+    {!Mcd_experiments.Runner.policy_of_name}. [Error reason] becomes a
+    [Bad_request] rejection. *)
 
 val request_digest : Protocol.request -> (string, string) result
-(** Digest of {!Mcd_experiments.Runner.request_key} for a resolvable
+(** Digest of {!Mcd_experiments.Runner.policy_key} for a resolvable
     request — the coalescing identity, equal to the persistent-store
     address of the run's payload. *)
 
 val compute : Protocol.request -> string
-(** Run the request via {!Mcd_experiments.Runner.run_request} and
+(** Run the request via {!Mcd_experiments.Runner.policy_run} and
     return {!Mcd_power.Metrics.encode} of the result — the same bytes
     a one-shot CLI run caches. Raises on unresolvable requests (the
     server rejects those before they reach a worker). *)

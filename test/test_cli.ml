@@ -163,6 +163,46 @@ let test_submit_exits_3_when_daemon_hangs_up () =
   | Unix.WSIGNALED s | Unix.WSTOPPED s ->
       Alcotest.failf "submit killed by signal %d, want exit 3" s
 
+(* Run the CLI with [args]; returns its exit status and its stderr. *)
+let run_cli args =
+  let err = Filename.temp_file "mcd-cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Filename.quote_command cli_exe args ~stdout:"/dev/null" ~stderr:err)
+  in
+  (code, In_channel.with_open_bin err In_channel.input_all)
+
+(* [run] and [trace] resolve policies through one lookup: any registry
+   label traces, and an unknown name lists every label the tool
+   accepts. *)
+let test_trace_any_policy () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mcd-cli-trace.%d" (Unix.getpid ()))
+  in
+  Helpers.rm_rf dir;
+  Fun.protect ~finally:(fun () -> Helpers.rm_rf dir) @@ fun () ->
+  let code, err =
+    run_cli [ "trace"; "adpcm decode"; "--policy"; "pid"; "--out"; dir ]
+  in
+  Alcotest.(check int) ("trace --policy pid exits 0: " ^ err) 0 code;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (f ^ " written") true
+        (Sys.file_exists (Filename.concat dir f)))
+    [ "metrics.jsonl"; "series.csv"; "trace.json" ]
+
+let test_run_unknown_policy_lists_labels () =
+  let code, err = run_cli [ "run"; "adpcm decode"; "--policy"; "nope" ] in
+  Alcotest.(check bool) "rejected" true (code <> 0);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("error lists " ^ l) true
+        (Helpers.contains ~needle:l err))
+    (Mcd_control.Policies.names () @ [ "offline"; "profile"; "global" ])
+
 let suite =
   [
     ("help names every subcommand", `Quick, test_help_names_every_subcommand);
@@ -171,4 +211,8 @@ let suite =
     ( "submit exits 3 when the daemon hangs up",
       `Quick,
       test_submit_exits_3_when_daemon_hangs_up );
+    ("trace accepts any policy", `Slow, test_trace_any_policy);
+    ( "run lists every policy label",
+      `Quick,
+      test_run_unknown_policy_lists_labels );
   ]

@@ -246,6 +246,16 @@ let test_registry_labels_unique () =
       | None -> Alcotest.failf "by_name %S misses" l)
     labels
 
+(* The registry is built once: a lookup on the request path returns the
+   registered value itself, not a freshly rebuilt copy. *)
+let test_registry_built_once () =
+  match (Policies.by_name "online", Policies.by_name "online") with
+  | Some a, Some b ->
+      Alcotest.(check bool) "by_name returns the same value" true (a == b);
+      Alcotest.(check bool) "all () returns the same list" true
+        (Policies.all () == Policies.all ())
+  | _ -> Alcotest.fail "online is not registered"
+
 let test_same_name_params_distinct_fragments () =
   let a = Policies.online () and b = Policies.online_eager () in
   Alcotest.(check string) "one cache-key name" a.Policy.name b.Policy.name;
@@ -324,6 +334,7 @@ let suite =
       test_fixed_policy_value_is_reusable );
     ("baseline policy inert", `Quick, test_baseline_policy_inert);
     ("registry labels unique", `Quick, test_registry_labels_unique);
+    ("registry built once", `Quick, test_registry_built_once);
     ( "same name, different params, distinct fragments",
       `Quick,
       test_same_name_params_distinct_fragments );

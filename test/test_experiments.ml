@@ -326,9 +326,11 @@ let test_policy_keys_pairwise_distinct () =
 
 (* Warm-run the tournament against a fresh store: the cold pass must
    write exactly one object per (policy, workload) plus the shared
-   baseline with zero hits (nothing aliased, nothing served across
-   policies), and the warm pass must serve exactly that many hits with
-   zero new stores while reproducing the report byte-identically. *)
+   baseline, the plan behind profile L+F and the oracle analysis behind
+   the off-line run, with zero hits (nothing aliased, nothing served
+   across policies), and the warm pass must serve exactly one hit per
+   run with zero new stores while reproducing the report
+   byte-identically. *)
 let test_tournament_warm_rerun_isolated () =
   let dir =
     Filename.concat
@@ -344,11 +346,12 @@ let test_tournament_warm_rerun_isolated () =
     (fun () ->
       Store.set_default (Some store);
       Runner.clear_caches ();
-      let contenders = Policies.contenders () in
+      let contenders = Runner.contenders (w ()) in
       let cold = Tournament.run ~workloads:[ w () ] () in
       let s0 = Store.stats store in
-      Alcotest.(check int) "cold pass: one object per policy + baseline"
-        (List.length contenders + 1)
+      Alcotest.(check int)
+        "cold pass: one object per policy + baseline + plan + oracle"
+        (List.length contenders + 3)
         s0.Store.stores;
       Alcotest.(check int) "cold pass: zero cross-policy hits" 0 s0.Store.hits;
       Runner.clear_caches ();
@@ -367,7 +370,7 @@ let test_tournament_warm_rerun_isolated () =
 
 let test_tournament_report_shape () =
   let t = Tournament.run ~workloads:[ w () ] () in
-  let contenders = Policies.contenders () in
+  let contenders = Runner.contenders (w ()) in
   Alcotest.(check int) "one entry per contender"
     (List.length contenders)
     (List.length t.Tournament.entries);
@@ -402,6 +405,35 @@ let test_tournament_report_shape () =
       Alcotest.(check int) "JSON entries" (List.length contenders)
         (List.length entries)
 
+(* Table 4's dynamic point counts, (reconfiguration, instrumentation),
+   in exact mode. applu runs a 20k-instruction warm-up whose points
+   count too: its run's [Metrics.reconfigurations] reads 28, so these
+   cannot be derived from the metrics. *)
+let test_table4_points_pinned () =
+  let mode = Runner.get_sim_mode () in
+  Fun.protect ~finally:(fun () -> Runner.set_sim_mode mode) @@ fun () ->
+  Runner.set_sim_mode Runner.Exact;
+  List.iter
+    (fun (wname, ctx, want) ->
+      let pr =
+        Runner.profile_run (Suite.by_name wname)
+          ~context:(Context.of_name ctx) ~train:`Train
+      in
+      let c = pr.Runner.counters in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s %s" wname ctx)
+        want
+        (c.Mcd_core.Editor.reconfig_execs, c.Mcd_core.Editor.instr_execs))
+    [
+      ("adpcm decode", "L+F+C+P", (16, 16));
+      ("adpcm decode", "L+F+P", (16, 16));
+      ("adpcm decode", "F+C+P", (15, 1));
+      ("adpcm decode", "F+P", (15, 1));
+      ("adpcm decode", "L+F", (16, 0));
+      ("adpcm decode", "F", (15, 0));
+      ("applu", "L+F+C+P", (32, 33));
+    ]
+
 let suite =
   [
     ("compare runs", `Quick, test_compare_runs);
@@ -433,4 +465,5 @@ let suite =
       `Slow,
       test_tournament_warm_rerun_isolated );
     ("tournament report shape", `Slow, test_tournament_report_shape);
+    ("table 4 dynamic points pinned", `Slow, test_table4_points_pinned);
   ]

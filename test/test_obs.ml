@@ -356,8 +356,9 @@ let test_traced_profile_run () =
      run's own reconfiguration counter, and samples landed. *)
   let sink = Sink.create ~domains:Domain.count () in
   let run =
-    Mcd_experiments.Runner.observed_run ~policy:`Profile ~sink
-      Mcd_workloads.Mediabench.adpcm_decode
+    let w = Mcd_workloads.Mediabench.adpcm_decode in
+    Mcd_experiments.Runner.(
+      policy_run ~sink (profile_policy ~context:Mcd_profiling.Context.lf w) w)
   in
   let m = Sink.metrics sink in
   let counter name = Metrics.value (Metrics.counter m name) in
@@ -394,37 +395,56 @@ let test_traced_profile_run () =
   ()
 
 (* An attached sink is a side channel: the observed run must encode to
-   the plain run's bytes, down to the last bit of every float. The
-   generated spec is one a seeded campaign draws; its on-line run once
-   drifted by one ulp of floating-domain energy because sampling the
-   operating point advanced the slew ramp. *)
+   the plain run's bytes, down to the last bit of every float, for every
+   policy. The generated spec is one a seeded campaign draws; its
+   on-line run once drifted by one ulp of floating-domain energy because
+   sampling the operating point advanced the slew ramp. An observed run
+   is stored under its exact-mode key, so the plain runs are computed
+   first, from empty memos with the store off, and the memos are
+   cleared again before the observed runs: neither side can read the
+   other's result. *)
 let test_observed_run_equals_plain () =
   let module Runner = Mcd_experiments.Runner in
+  let module Store = Mcd_cache.Store in
   let generated =
     Mcd_gen.Spec.workload
       (Mcd_gen.Spec.draw ~train_insts:12_000 ~ref_insts:30_000
          ~seed:4344337351877135807 ())
   in
+  let store = Store.default () in
+  Store.set_default None;
+  Fun.protect ~finally:(fun () ->
+      Store.set_default store;
+      Runner.clear_caches ())
+  @@ fun () ->
   List.iter
     (fun (w : Mcd_workloads.Workload.t) ->
-      List.iter
-        (fun (label, policy, plain) ->
-          let sink = Sink.create ~domains:Domain.count () in
-          let observed = Runner.observed_run ~policy ~sink w in
+      let policies =
+        Mcd_control.Policies.all ()
+        @ [
+            Runner.offline_policy w;
+            Runner.profile_policy ~context:Mcd_profiling.Context.lf w;
+          ]
+      in
+      let encode_each run =
+        List.map
+          (fun (p : Mcd_control.Policy.t) ->
+            (p.Mcd_control.Policy.label, Mcd_power.Metrics.encode (run p)))
+          policies
+      in
+      Runner.clear_caches ();
+      let plain = encode_each (fun p -> Runner.policy_run p w) in
+      Runner.clear_caches ();
+      let observed =
+        encode_each (fun p ->
+            Runner.policy_run ~sink:(Sink.create ~domains:Domain.count ()) p w)
+      in
+      List.iter2
+        (fun (label, plain) (_, observed) ->
           Alcotest.(check string)
-            (Printf.sprintf "%s %s" w.Mcd_workloads.Workload.name label)
-            (Mcd_power.Metrics.encode (plain ()))
-            (Mcd_power.Metrics.encode observed))
-        [
-          ("baseline", `Baseline, fun () -> Runner.baseline w);
-          ("online", `Online, fun () -> Runner.online_run w);
-          ( "profile",
-            `Profile,
-            fun () ->
-              (Runner.profile_run w ~context:Mcd_profiling.Context.lf
-                 ~train:`Train)
-                .Runner.run );
-        ])
+            (w.Mcd_workloads.Workload.name ^ " " ^ label)
+            plain observed)
+        plain observed)
     [ generated; Mcd_workloads.Mediabench.adpcm_decode ]
 
 let suite =

@@ -269,15 +269,19 @@ let test_geomean_rejects_nonpositive () =
       ignore (Stats.geomean [ -2.0 ] : float))
 
 (* Non-default slowdown points memoize: two identical calls inside one
-   sweep share one simulation (physical equality of the memoized
-   record), instead of re-simulating because the memo key dropped the
-   slowdown parameter. *)
+   sweep share one simulation (physical equality of the memoized run;
+   each call builds a fresh record around it), instead of re-simulating
+   because the memo key dropped the slowdown parameter. *)
 let test_nondefault_slowdown_memoizes () =
   let w = Suite.by_name "adpcm decode" in
-  let r1 = Runner.profile_run ~slowdown_pct:5.5 w ~context:Context.lf ~train:`Train in
-  let r2 = Runner.profile_run ~slowdown_pct:5.5 w ~context:Context.lf ~train:`Train in
+  let run () =
+    (Runner.profile_run ~slowdown_pct:5.5 w ~context:Context.lf ~train:`Train)
+      .Runner.run
+  in
+  let r1 = run () in
+  let r2 = run () in
   Alcotest.(check bool) "second call served from the memo" true (r1 == r2);
-  let d = Runner.profile_run w ~context:Context.lf ~train:`Train in
+  let d = (Runner.profile_run w ~context:Context.lf ~train:`Train).Runner.run in
   Alcotest.(check bool) "distinct from the default-slowdown run" true
     (not (d == r1))
 

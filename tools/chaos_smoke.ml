@@ -456,8 +456,8 @@ let () =
   ignore (Unix.alarm 540);
   (with_temp_dir "mcd-chaos-smoke" @@ fun tmp ->
    let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
-   let expected_baseline = one_shot `Baseline workload_name in
-   let expected_online = one_shot `Online workload_name in
+   let expected_baseline = one_shot "baseline" workload_name in
+   let expected_online = one_shot "online" workload_name in
    (* Servers (forked below) inherit this default store. *)
    Store.set_default (Some (Store.create ~dir:(Filename.concat tmp "cache")));
    phase_racing_starts (socket 1);

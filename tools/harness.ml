@@ -158,8 +158,8 @@ let one_shot policy workload =
   Mcd_cache.Store.set_default None;
   Fun.protect ~finally:(fun () -> Mcd_cache.Store.set_default store)
   @@ fun () ->
+  let w = Mcd_workloads.Suite.by_name workload in
   Mcd_power.Metrics.encode
-    (Mcd_experiments.Runner.run_request
-       (Mcd_workloads.Suite.by_name workload)
-       ~policy ~context:Mcd_profiling.Context.lf
-       ~slowdown_pct:Mcd_experiments.Runner.default_slowdown_pct)
+    (Mcd_experiments.Runner.policy_run
+       (Option.get (Mcd_experiments.Runner.policy_of_name policy w))
+       w)

@@ -431,8 +431,8 @@ let () =
   (with_temp_dir "mcd-serve-smoke" @@ fun tmp ->
    let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
    let cache_dir = Filename.concat tmp "cache" in
-   let expected_baseline = one_shot `Baseline workload_name in
-   let expected_online = one_shot `Online workload_name in
+   let expected_baseline = one_shot "baseline" workload_name in
+   let expected_online = one_shot "online" workload_name in
    (* Servers (forked below) inherit this default store. *)
    Store.set_default (Some (Store.create ~dir:cache_dir));
    phase_concurrency (socket 1) cache_dir ~expected_baseline ~expected_online;

@@ -2,10 +2,10 @@
 
    Runs the real CLI — `mcd-dvfs tournament --quick --json FILE` — and
    asserts the contract the docs promise: the command exits 0, every
-   policy registered in Mcd_control.Policies appears in the ranked
-   table, the rank column counts 1..N in order, and the JSON report
-   parses with one well-formed entry per contender across the quick
-   workload subset.
+   contender (Runner.contenders: the Mcd_control.Policies registry, the
+   off-line oracle and profile L+F) appears in the ranked table, the
+   rank column counts 1..N in order, and the JSON report parses with one
+   well-formed entry per contender across the quick workload subset.
 
    The CLI executable path arrives as argv(1) from the dune rule, so
    the test always runs the binary built from this tree. A dedicated
@@ -16,7 +16,6 @@
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
-module Policies = Mcd_control.Policies
 module Policy = Mcd_control.Policy
 module Json = Mcd_obs.Json
 open Harness
@@ -37,10 +36,13 @@ let () =
   let rc = Sys.command cmd in
   check (rc = 0) "exit code %d from %s" rc cmd;
   let table = read_file out in
-  let contenders = Policies.contenders () in
+  let contenders =
+    Mcd_experiments.Runner.contenders
+      (Mcd_workloads.Suite.by_name "adpcm decode")
+  in
   check
-    (List.length contenders >= 6)
-    "registry has %d contenders, want >= 6"
+    (List.length contenders >= 8)
+    "%d contenders, want >= 8"
     (List.length contenders);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in

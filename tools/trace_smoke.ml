@@ -192,7 +192,10 @@ let () =
   let sink =
     Sink.create ~stride_cycles:2048 ~domains:Mcd_domains.Domain.count ()
   in
-  let run = Mcd_experiments.Runner.observed_run ~policy:`Profile ~sink w in
+  let run =
+    Mcd_experiments.Runner.(
+      policy_run ~sink (profile_policy ~context:Mcd_profiling.Context.lf w) w)
+  in
   (with_temp_dir "mcd-trace-smoke" @@ fun dir ->
   check_edge_exports dir;
   let domain_names =

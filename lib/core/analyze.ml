@@ -4,6 +4,7 @@ module Collector = Mcd_trace.Collector
 module Pipeline = Mcd_cpu.Pipeline
 module Config = Mcd_cpu.Config
 module Histogram = Mcd_util.Histogram
+module Vec = Mcd_util.Vec
 module Domain = Mcd_domains.Domain
 module Freq = Mcd_domains.Freq
 
@@ -18,6 +19,14 @@ type stats = {
 
 let min_segment_events = 50
 
+(* one long node's merged shaker output *)
+type node = {
+  node_id : int;
+  merged : Histogram.t array;
+  mutable paths : Path_model.t;
+  mutable used : bool; (* some segment reached [min_segment_events] *)
+}
+
 let analyze ~program ~train ~context ?(slowdown_pct = 7.0)
     ?(threshold_insts = Call_tree.default_threshold)
     ?(profile_insts = 400_000) ?(trace_insts = 120_000) ?(shaker_passes = 24)
@@ -27,48 +36,62 @@ let analyze ~program ~train ~context ?(slowdown_pct = 7.0)
     Call_tree.build program ~input:train ~context ~threshold:threshold_insts
       ~max_insts:profile_insts ()
   in
-  (* phase 2: full-speed pipeline run with the trace probe *)
-  let collector = Collector.create ~tree () in
+  (* phase 2: full-speed pipeline run with the trace probe; each segment
+     is shaken as soon as the collector hands it off, and merged into
+     its node's histograms and path model in stream order *)
+  let segments_shaken = ref 0 in
+  let events_shaken = ref 0 in
+  let passes_total = ref 0 in
+  let nodes = Vec.create () and node_of_id = Hashtbl.create 32 in
+  let on_segment node_id seg =
+    let node =
+      match Hashtbl.find_opt node_of_id node_id with
+      | Some node -> node
+      | None ->
+          let node =
+            {
+              node_id;
+              merged =
+                Array.init Domain.count (fun _ ->
+                    Histogram.create ~bins:Freq.num_steps);
+              paths = Path_model.empty;
+              used = false;
+            }
+          in
+          Hashtbl.add node_of_id node_id node;
+          Vec.push nodes node;
+          node
+    in
+    if Array.length seg >= min_segment_events then begin
+      let dag = Dag.build ~rob_size:config.Config.rob_size seg in
+      let result = Shaker.run ~max_passes:shaker_passes dag in
+      incr segments_shaken;
+      events_shaken := !events_shaken + result.Shaker.total_events;
+      passes_total := !passes_total + result.Shaker.passes;
+      Array.iteri
+        (fun i h -> Histogram.merge_into ~dst:node.merged.(i) ~src:h)
+        result.Shaker.histograms;
+      node.paths <- Path_model.add_segment node.paths (Dag.path_signatures dag);
+      node.used <- true
+    end
+  in
+  let collector = Collector.create ~tree ~on_segment () in
   let metrics =
     Pipeline.run ~probe:(Collector.probe collector) ~config ~program
       ~input:train ~max_insts:trace_insts ()
   in
-  let segments_shaken = ref 0 in
-  let events_shaken = ref 0 in
-  let passes_total = ref 0 in
-  let node_histograms = ref [] in
-  let node_paths = ref [] in
-  List.iter
-    (fun (node_id, segments) ->
-      let merged =
-        Array.init Domain.count (fun _ ->
-            Histogram.create ~bins:Freq.num_steps)
-      in
-      let paths = ref Path_model.empty in
-      let used = ref false in
-      List.iter
-        (fun seg ->
-          if Array.length seg >= min_segment_events then begin
-            let dag = Dag.build ~rob_size:config.Config.rob_size seg in
-            let result = Shaker.run ~max_passes:shaker_passes dag in
-            incr segments_shaken;
-            events_shaken := !events_shaken + result.Shaker.total_events;
-            passes_total := !passes_total + result.Shaker.passes;
-            Array.iteri
-              (fun i h -> Histogram.merge_into ~dst:merged.(i) ~src:h)
-              result.Shaker.histograms;
-            paths := Path_model.add_segment !paths (Dag.path_signatures dag);
-            used := true
-          end)
-        segments;
-      if !used then begin
-        node_histograms := (node_id, merged) :: !node_histograms;
-        node_paths := (node_id, !paths) :: !node_paths
-      end)
-    (Collector.segments collector);
+  Collector.finish collector;
+  (* nodes in the order of their first segment, listed last to first *)
+  let node_histograms, node_paths =
+    Vec.fold_left
+      (fun (hs, ps) node ->
+        if node.used then
+          ((node.node_id, node.merged) :: hs, (node.node_id, node.paths) :: ps)
+        else (hs, ps))
+      ([], []) nodes
+  in
   let plan =
-    Plan.make ~tree ~context ~slowdown_pct
-      ~node_histograms:!node_histograms ~node_paths:!node_paths ()
+    Plan.make ~tree ~context ~slowdown_pct ~node_histograms ~node_paths ()
   in
   let stats =
     {

@@ -107,8 +107,14 @@ let build ?(rob_size = default_rob_size) (raw : Probe.event array) =
   in
   Array.iteri
     (fun id (e : Probe.event) ->
-      let i = e.Probe.seq - min_seq in
-      slots.((4 * i) + Probe.stage_rank e.Probe.stage) <- id)
+      let s = (4 * (e.Probe.seq - min_seq)) + Probe.stage_rank e.Probe.stage in
+      if slots.(s) >= 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Dag.build: events %d and %d share seq %d and stage rank %d"
+             slots.(s) id e.Probe.seq
+             (Probe.stage_rank e.Probe.stage));
+      slots.(s) <- id)
     raw;
   let iter_edges = iter_edges ~rob_size ~domain ~slots ~min_seq raw in
   (* CSR from two identical edge walks: the first counts each node's

@@ -46,7 +46,8 @@ val build : ?rob_size:int -> Mcd_cpu.Probe.event array -> t
 (** The input must be sorted by (seq, stage) as produced by
     {!Mcd_trace.Collector.segments}. Dependences on instructions outside
     the segment are dropped. [rob_size] defaults to the Table-1 value
-    (80). *)
+    (80). Raises [Invalid_argument] when two events share a seq and
+    {!Mcd_cpu.Probe.stage_rank}. *)
 
 val size : t -> int
 val edge_count : t -> int

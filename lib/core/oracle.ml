@@ -3,6 +3,7 @@ module Pipeline = Mcd_cpu.Pipeline
 module Config = Mcd_cpu.Config
 module Controller = Mcd_cpu.Controller
 module Histogram = Mcd_util.Histogram
+module Vec = Mcd_util.Vec
 module Reconfig = Mcd_domains.Reconfig
 module Domain = Mcd_domains.Domain
 module Freq = Mcd_domains.Freq
@@ -157,31 +158,34 @@ let decode_analysis s =
 
 let analyze ~program ~input ?(interval_insts = 10_000)
     ?(trace_insts = 120_000) ?(config = Config.alpha21264_like) () =
-  let collector = Interval_collector.create ~interval_insts () in
+  (* each interval is shaken as soon as its last instruction retires,
+     so the trace run holds about one interval's events at a time *)
+  let intervals = Vec.create () in
+  let analyze_interval events =
+    Vec.push intervals
+      (if Array.length events < min_interval_events then
+         { histograms = None; paths = Path_model.empty; duration_ps = 0.0 }
+       else begin
+         let dag = Dag.build ~rob_size:config.Config.rob_size events in
+         let result = Shaker.run dag in
+         {
+           histograms = Some result.Shaker.histograms;
+           paths =
+             Path_model.add_segment Path_model.empty (Dag.path_signatures dag);
+           duration_ps = dag.Dag.t_max -. dag.Dag.t_min;
+         }
+       end)
+  in
+  let collector =
+    Interval_collector.create ~interval_insts ~on_interval:analyze_interval ()
+  in
   let _ =
     Pipeline.run
       ~probe:(Interval_collector.probe collector)
       ~config ~program ~input ~max_insts:trace_insts ()
   in
-  let intervals =
-    List.map
-      (fun events ->
-        if Array.length events < min_interval_events then
-          { histograms = None; paths = Path_model.empty; duration_ps = 0.0 }
-        else begin
-          let dag = Dag.build ~rob_size:config.Config.rob_size events in
-          let result = Shaker.run dag in
-          {
-            histograms = Some result.Shaker.histograms;
-            paths =
-              Path_model.add_segment Path_model.empty
-                (Dag.path_signatures dag);
-            duration_ps = dag.Dag.t_max -. dag.Dag.t_min;
-          }
-        end)
-      (Interval_collector.intervals collector)
-  in
-  { interval_insts; intervals = Array.of_list intervals }
+  Interval_collector.finish collector;
+  { interval_insts; intervals = Vec.to_array intervals }
 
 let schedule_of (a : analysis) ~slowdown_pct =
   let settings =

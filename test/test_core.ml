@@ -91,6 +91,31 @@ let test_dag_empty () =
   let dag = Dag.build [||] in
   Alcotest.(check int) "empty" 0 (Dag.size dag)
 
+(* (seq, stage rank) names one event: a second event at a filled slot
+   would take over its edges, so the build refuses it, whether the two
+   share a stage or only a rank (execute and mem) *)
+let test_dag_duplicate_slot_rejected () =
+  let events = chain_events 4 in
+  let dup stage e = { e with Probe.stage; start = e.Probe.start + 1 } in
+  let insert_after i e =
+    Array.concat
+      [
+        Array.sub events 0 (i + 1);
+        [| e |];
+        Array.sub events (i + 1) (Array.length events - i - 1);
+      ]
+  in
+  (* events.(3) is instruction 1's fetch, events.(4) its execute *)
+  List.iter
+    (fun (what, raw) ->
+      match Dag.build raw with
+      | _ -> Alcotest.failf "%s: duplicate slot accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("same stage", insert_after 3 (dup Probe.Fetch_s events.(3)));
+      ("execute and mem", insert_after 4 (dup Probe.Mem_s events.(4)));
+    ]
+
 let test_dag_slack_nonnegative () =
   let dag = Dag.build (chain_events ~gap_cycles:3 10) in
   for i = 0 to Dag.size dag - 1 do
@@ -992,6 +1017,7 @@ let suite =
   [
     ("dag build counts", `Quick, test_dag_build_counts);
     ("dag empty", `Quick, test_dag_empty);
+    ("dag duplicate slot rejected", `Quick, test_dag_duplicate_slot_rejected);
     ("dag slack nonnegative", `Quick, test_dag_slack_nonnegative);
     ("dag base path is makespan", `Quick, test_dag_base_path_is_makespan);
     ("dag signature senses domain", `Quick, test_dag_signature_senses_domain);

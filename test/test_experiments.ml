@@ -240,32 +240,40 @@ let test_golden_cycle_exact () =
     ~sync_penalties:229_200 ~reconfigurations:18
 
 (* Byte-level goldens of the analysis kernels (DAG build, shaker, path
-   signatures): an oracle analysis of adpcm decode's reference window
-   and two L+F training plans, pinned by the MD5 of their serialized
-   forms. Any change to a kernel's float operations or their order
-   moves these digests. *)
+   signatures) and of the trace hand-off that feeds them: oracle
+   analyses of two reference windows (applu's opens with a 20k warm-up
+   offset and ends in a partial interval) and three training plans
+   (mpeg2 decode's L+F+C+P tree nests long nodes, so markers close its
+   segments), pinned by the MD5 of their serialized forms. Any change to
+   a kernel's float operations or their order moves these digests. *)
 let test_golden_analysis_digests () =
   let md5 s = Digest.to_hex (Digest.string s) in
-  let adpcm = Suite.by_name "adpcm decode" in
-  let oracle =
-    Mcd_core.Oracle.analyze ~program:adpcm.Workload.program
-      ~input:adpcm.Workload.reference
-      ~trace_insts:(adpcm.Workload.ref_offset + adpcm.Workload.ref_window)
-      ~config:Mcd_cpu.Config.alpha21264_like ()
-  in
-  Alcotest.(check string) "adpcm decode oracle analysis"
-    "b542c492777dfc8803a2083b03329442"
-    (md5 (Mcd_core.Oracle.encode_analysis oracle));
   List.iter
     (fun (name, digest) ->
-      let plan =
-        Runner.plan_for (Suite.by_name name) ~context:Context.lf ~train:`Train
+      let w = Suite.by_name name in
+      let oracle =
+        Mcd_core.Oracle.analyze ~program:w.Workload.program
+          ~input:w.Workload.reference
+          ~trace_insts:(w.Workload.ref_offset + w.Workload.ref_window)
+          ~config:Mcd_cpu.Config.alpha21264_like ()
       in
-      Alcotest.(check string) (name ^ " L+F plan") digest
+      Alcotest.(check string) (name ^ " oracle analysis") digest
+        (md5 (Mcd_core.Oracle.encode_analysis oracle)))
+    [
+      ("adpcm decode", "b542c492777dfc8803a2083b03329442");
+      ("applu", "00d1b6487e5584e49ea64ec727570e9c");
+    ];
+  List.iter
+    (fun (name, context, digest) ->
+      let plan = Runner.plan_for (Suite.by_name name) ~context ~train:`Train in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s plan" name context.Context.name)
+        digest
         (md5 (Mcd_core.Plan_io.to_string plan)))
     [
-      ("adpcm decode", "2bfd1758d124a3fe165a260635bece4f");
-      ("applu", "19be8b461775befaf994cc8bad5daa17");
+      ("adpcm decode", Context.lf, "2bfd1758d124a3fe165a260635bece4f");
+      ("applu", Context.lf, "19be8b461775befaf994cc8bad5daa17");
+      ("mpeg2 decode", Context.lfcp, "398b7b93333994e4cfc28cc87496b44e");
     ]
 
 (* The parallel runner must be invisible in the output: running the same

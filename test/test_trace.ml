@@ -178,6 +178,100 @@ let test_interval_cap () =
       Alcotest.(check bool) "cap respected" true (Array.length events <= 100))
     (Interval_collector.intervals col)
 
+(* --- hand-off ---------------------------------------------------------- *)
+
+(* A bucket leaves as soon as its last instruction retires, so besides
+   the filling bucket a run buffers only the events of instructions in
+   flight: at most four events each, for at most a reorder buffer and a
+   fetch queue of instructions. *)
+let test_interval_buffering_bounded () =
+  let interval_insts = 2_000 in
+  let received = ref 0 and handed = ref 0 and high = ref 0 in
+  let col =
+    Interval_collector.create ~interval_insts
+      ~on_interval:(fun events -> handed := !handed + Array.length events)
+      ()
+  in
+  let inner = Interval_collector.probe col in
+  let probe =
+    {
+      inner with
+      Probe.on_event =
+        (fun ev ->
+          incr received;
+          inner.Probe.on_event ev;
+          high := max !high (!received - !handed));
+    }
+  in
+  let _ =
+    Pipeline.run ~probe ~config:Config.alpha21264_like
+      ~program:(phased_program ()) ~input ~max_insts:20_000 ()
+  in
+  let handed_in_run = !handed in
+  Interval_collector.finish col;
+  Alcotest.(check int) "every event handed off" !received !handed;
+  Alcotest.(check bool) "buckets left during the run" true
+    (handed_in_run > !received / 2);
+  let bound =
+    4 * (interval_insts + Config.alpha21264_like.Config.rob_size + 16)
+  in
+  if !high > bound then
+    Alcotest.failf "%d events buffered at once, bound %d" !high bound
+
+(* The slot table orders every handed-off array exactly as the
+   comparison sort on (seq, stage rank) it replaced, and no two events
+   tie under that order. Checked over adpcm decode's oracle intervals
+   and L+F training segments. *)
+let test_slot_order_is_sort_order () =
+  let module Runner = Mcd_experiments.Runner in
+  let module Workload = Mcd_workloads.Workload in
+  let key (e : Probe.event) = (e.Probe.seq, Probe.stage_rank e.Probe.stage) in
+  let arrays = ref 0 in
+  let check what (events : Probe.event array) =
+    incr arrays;
+    let sorted = Array.copy events in
+    Array.sort
+      (fun (a : Probe.event) (b : Probe.event) ->
+        match Int.compare a.Probe.seq b.Probe.seq with
+        | 0 ->
+            Int.compare
+              (Probe.stage_rank a.Probe.stage)
+              (Probe.stage_rank b.Probe.stage)
+        | c -> c)
+      sorted;
+    Array.iteri
+      (fun i e ->
+        if e != sorted.(i) then
+          Alcotest.failf "%s: event %d out of order" what i;
+        if i > 0 && compare (key events.(i - 1)) (key e) >= 0 then
+          Alcotest.failf "%s: events %d and %d tie" what (i - 1) i)
+      events
+  in
+  let w = Mcd_workloads.Suite.by_name "adpcm decode" in
+  let intervals =
+    Interval_collector.create ~on_interval:(check "interval") ()
+  in
+  let _ =
+    Pipeline.run
+      ~probe:(Interval_collector.probe intervals)
+      ~config:Config.alpha21264_like ~program:w.Workload.program
+      ~input:w.Workload.reference
+      ~max_insts:(w.Workload.ref_offset + w.Workload.ref_window) ()
+  in
+  Interval_collector.finish intervals;
+  let tree = Runner.training_tree w ~context:Context.lf ~train:`Train in
+  let segments =
+    Collector.create ~tree ~on_segment:(fun _ -> check "segment") ()
+  in
+  let input, _ = Runner.analysis_input w ~train:`Train in
+  let _ =
+    Pipeline.run ~probe:(Collector.probe segments)
+      ~config:Config.alpha21264_like ~program:w.Workload.program ~input
+      ~max_insts:(Runner.analysis_trace_insts w ~train:`Train) ()
+  in
+  Collector.finish segments;
+  Alcotest.(check bool) "intervals and segments checked" true (!arrays > 10)
+
 let suite =
   [
     ("segments for long nodes", `Quick, test_segments_for_long_nodes);
@@ -190,4 +284,6 @@ let suite =
     ("no long nodes, no segments", `Quick, test_no_long_nodes_no_segments);
     ("nested attribution disjoint", `Quick, test_nested_attribution);
     ("intervals seen", `Quick, test_intervals_seen);
+    ("interval buffering bounded", `Quick, test_interval_buffering_bounded);
+    ("slot order is sort order", `Slow, test_slot_order_is_sort_order);
   ]

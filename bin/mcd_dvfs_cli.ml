@@ -801,8 +801,8 @@ let fail_error e =
 
 let serve_cmd =
   let run socket workers queue_max client_max conn_inflight_max
-      outbuf_max_bytes compute_delay_ms trace_dir no_journal journal_path
-      deadline_ms retry_after_cap_ms cache_dir =
+      outbuf_max_bytes trace_dir no_journal journal_path deadline_ms
+      retry_after_cap_ms cache_dir =
     init_cache cache_dir;
     let base = Server.default_config ~socket in
     let journal =
@@ -817,7 +817,6 @@ let serve_cmd =
         client_max;
         conn_inflight_max;
         outbuf_max_bytes;
-        compute_delay_s = float_of_int compute_delay_ms /. 1000.0;
         trace_dir;
         journal;
         deadline_s =
@@ -865,12 +864,6 @@ let serve_cmd =
              ~doc:"Pending response bytes buffered for one connection \
                    before the server closes it as a slow reader")
   in
-  let compute_delay_ms =
-    Arg.(value & opt int 0
-         & info [ "compute-delay-ms" ] ~docv:"MS"
-             ~doc:"Artificial per-job delay (testing aid: makes overload \
-                   and drain timing deterministic)")
-  in
   let trace_dir =
     Arg.(value & opt (some string) None
          & info [ "trace-dir" ] ~docv:"DIR"
@@ -910,9 +903,8 @@ let serve_cmd =
           a crash. Drains gracefully on SIGTERM or $(b,mcd-dvfs drain)")
     Term.(
       const run $ socket_arg $ workers $ queue_max $ client_max
-      $ conn_inflight_max $ outbuf_max_bytes $ compute_delay_ms $ trace_dir
-      $ no_journal $ journal_path $ deadline_ms $ retry_after_cap_ms
-      $ cache_dir_arg)
+      $ conn_inflight_max $ outbuf_max_bytes $ trace_dir $ no_journal
+      $ journal_path $ deadline_ms $ retry_after_cap_ms $ cache_dir_arg)
 
 let wire_policy_enum =
   Arg.enum

@@ -6,6 +6,7 @@
    "production machine" would — rebuilds the call tree from the same
    program and training input, loads the plan (fingerprint-checked), and
    runs production with it. A tampered or stale plan is rejected.
+   Exits 1 if the shipped plan is refused or the stale one accepted.
 
      dune exec examples/ship_plan.exe *)
 
@@ -19,10 +20,14 @@ module Editor = Mcd_core.Editor
 module Pipeline = Mcd_cpu.Pipeline
 module Config = Mcd_cpu.Config
 module Metrics = Mcd_power.Metrics
+module Error = Mcd_robust.Error
+
+let diagnostics errors = String.concat "; " (List.map Error.to_string errors)
 
 let () =
   let w = Suite.by_name "jpeg compress" in
   let path = Filename.temp_file "jpeg_compress" ".plan" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
 
   (* --- development machine: train and save ------------------------- *)
   let plan, _ =
@@ -38,7 +43,13 @@ let () =
     Call_tree.build w.Workload.program ~input:w.Workload.train
       ~context:Context.lf ~max_insts:400_000 ()
   in
-  let loaded = Plan_io.load ~path ~tree in
+  let loaded =
+    match Plan_io.load_result ~path ~tree with
+    | Ok { Plan_io.plan; warnings = _ } -> plan
+    | Error errors ->
+        Printf.printf "BUG: shipped plan refused: %s\n" (diagnostics errors);
+        exit 1
+  in
   let edited = Editor.edit loaded in
   let baseline =
     Pipeline.run ~config:Config.alpha21264_like
@@ -63,8 +74,9 @@ let () =
     Call_tree.build other.Workload.program ~input:other.Workload.train
       ~context:Context.lf ~max_insts:400_000 ()
   in
-  (match Plan_io.load ~path ~tree:wrong_tree with
-  | _ -> print_endline "BUG: stale plan accepted"
-  | exception Failure msg ->
-      Printf.printf "stale plan correctly refused: %s\n" msg);
-  Sys.remove path
+  match Plan_io.load_result ~path ~tree:wrong_tree with
+  | Ok _ ->
+      print_endline "BUG: stale plan accepted";
+      exit 1
+  | Error errors ->
+      Printf.printf "stale plan correctly refused: %s\n" (diagnostics errors)

@@ -5,8 +5,6 @@ module Pipeline = Mcd_cpu.Pipeline
 module Config = Mcd_cpu.Config
 module Histogram = Mcd_util.Histogram
 module Vec = Mcd_util.Vec
-module Domain = Mcd_domains.Domain
-module Freq = Mcd_domains.Freq
 
 type stats = {
   profiled_insts : int;
@@ -17,14 +15,33 @@ type stats = {
   shaker_passes_total : int;
 }
 
-let min_segment_events = 50
+type shaken = {
+  result : Shaker.result;
+  paths : Path_model.segment;
+  duration_ps : float;
+}
+
+let min_events = 50
+
+let shake ?max_passes ~config events =
+  if Array.length events < min_events then None
+  else begin
+    let dag = Dag.build ~rob_size:config.Config.rob_size events in
+    let result = Shaker.run ?max_passes dag in
+    Some
+      {
+        result;
+        paths = Dag.path_signatures dag;
+        duration_ps = dag.Dag.t_max -. dag.Dag.t_min;
+      }
+  end
 
 (* one long node's merged shaker output *)
 type node = {
   node_id : int;
   merged : Histogram.t array;
   mutable paths : Path_model.t;
-  mutable used : bool; (* some segment reached [min_segment_events] *)
+  mutable used : bool; (* some segment reached [min_events] *)
 }
 
 let analyze ~program ~train ~context ?(slowdown_pct = 7.0)
@@ -51,9 +68,7 @@ let analyze ~program ~train ~context ?(slowdown_pct = 7.0)
           let node =
             {
               node_id;
-              merged =
-                Array.init Domain.count (fun _ ->
-                    Histogram.create ~bins:Freq.num_steps);
+              merged = Plan.empty_histograms ();
               paths = Path_model.empty;
               used = false;
             }
@@ -62,18 +77,17 @@ let analyze ~program ~train ~context ?(slowdown_pct = 7.0)
           Vec.push nodes node;
           node
     in
-    if Array.length seg >= min_segment_events then begin
-      let dag = Dag.build ~rob_size:config.Config.rob_size seg in
-      let result = Shaker.run ~max_passes:shaker_passes dag in
-      incr segments_shaken;
-      events_shaken := !events_shaken + result.Shaker.total_events;
-      passes_total := !passes_total + result.Shaker.passes;
-      Array.iteri
-        (fun i h -> Histogram.merge_into ~dst:node.merged.(i) ~src:h)
-        result.Shaker.histograms;
-      node.paths <- Path_model.add_segment node.paths (Dag.path_signatures dag);
-      node.used <- true
-    end
+    match shake ~max_passes:shaker_passes ~config seg with
+    | None -> ()
+    | Some { result; paths; _ } ->
+        incr segments_shaken;
+        events_shaken := !events_shaken + result.Shaker.total_events;
+        passes_total := !passes_total + result.Shaker.passes;
+        Array.iteri
+          (fun i h -> Histogram.merge_into ~dst:node.merged.(i) ~src:h)
+          result.Shaker.histograms;
+        node.paths <- Path_model.add_segment node.paths paths;
+        node.used <- true
   in
   let collector = Collector.create ~tree ~on_segment () in
   let metrics =

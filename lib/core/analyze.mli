@@ -13,6 +13,27 @@
     training input = production input is exactly the paper's "off-line
     (perfect future knowledge)" configuration. *)
 
+type shaken = {
+  result : Shaker.result;  (** per-domain histograms and pass counts *)
+  paths : Path_model.segment;  (** the DAG's path signatures *)
+  duration_ps : float;
+      (** full-speed span of the DAG, first event start to last event
+          end *)
+}
+
+val shake :
+  ?max_passes:int ->
+  config:Mcd_cpu.Config.t ->
+  Mcd_cpu.Probe.event array ->
+  shaken option
+(** The analysis kernel every off-line decision starts from: build the
+    dependence DAG of one trace segment or interval (events sorted by
+    (seq, stage), as the collectors hand them off), run the shaker on
+    it ([max_passes] as {!Shaker.run}) and take its path signatures and
+    full-speed duration. [None] below 50 events, too few for a
+    meaningful DAG. {!analyze} calls it per recorded segment,
+    {!Oracle.analyze} per interval. *)
+
 type stats = {
   profiled_insts : int;
   traced_insts : int;
@@ -36,5 +57,5 @@ val analyze :
   Plan.t * stats
 (** Defaults: slowdown 7%, long-running threshold 10_000 instructions,
     profile window 400_000 instructions, trace window 120_000, the
-    Table-1 MCD configuration. Segments shorter than 50 events are
-    skipped (too short for a meaningful DAG). *)
+    Table-1 MCD configuration. Segments {!shake} declines (under 50
+    events) are skipped. *)

@@ -5,8 +5,6 @@ module Controller = Mcd_cpu.Controller
 module Histogram = Mcd_util.Histogram
 module Vec = Mcd_util.Vec
 module Reconfig = Mcd_domains.Reconfig
-module Domain = Mcd_domains.Domain
-module Freq = Mcd_domains.Freq
 
 type interval_data = {
   histograms : Histogram.t array option; (* None: too little data *)
@@ -18,7 +16,6 @@ type analysis = { interval_insts : int; intervals : interval_data array }
 
 type schedule = { interval_insts : int; settings : Reconfig.setting array }
 
-let min_interval_events = 50
 let default_interval_insts = 10_000
 
 (* Canonical codec for cached analyses. Same conventions as Plan_io /
@@ -163,18 +160,15 @@ let analyze ~program ~input ?(interval_insts = 10_000)
   let intervals = Vec.create () in
   let analyze_interval events =
     Vec.push intervals
-      (if Array.length events < min_interval_events then
-         { histograms = None; paths = Path_model.empty; duration_ps = 0.0 }
-       else begin
-         let dag = Dag.build ~rob_size:config.Config.rob_size events in
-         let result = Shaker.run dag in
-         {
-           histograms = Some result.Shaker.histograms;
-           paths =
-             Path_model.add_segment Path_model.empty (Dag.path_signatures dag);
-           duration_ps = dag.Dag.t_max -. dag.Dag.t_min;
-         }
-       end)
+      (match Analyze.shake ~config events with
+      | None ->
+          { histograms = None; paths = Path_model.empty; duration_ps = 0.0 }
+      | Some { Analyze.result; paths; duration_ps } ->
+          {
+            histograms = Some result.Shaker.histograms;
+            paths = Path_model.add_segment Path_model.empty paths;
+            duration_ps;
+          })
   in
   let collector =
     Interval_collector.create ~interval_insts ~on_interval:analyze_interval ()
@@ -188,40 +182,21 @@ let analyze ~program ~input ?(interval_insts = 10_000)
   { interval_insts; intervals = Vec.to_array intervals }
 
 let schedule_of (a : analysis) ~slowdown_pct =
-  let settings =
-    Array.map
+  let entries =
+    List.map
       (fun iv ->
-        match iv.histograms with
-        | None -> Reconfig.full_speed ()
-        | Some hists ->
-            let s = Threshold.setting_of_histograms hists ~slowdown_pct in
-            Path_model.refine iv.paths s ~slowdown_pct)
-      a.intervals
+        let setting =
+          match iv.histograms with
+          | None -> Reconfig.full_speed ()
+          | Some hists -> Plan.decide ~slowdown_pct hists iv.paths
+        in
+        (setting, iv.duration_ps, iv.duration_ps > 0.0))
+      (Array.to_list a.intervals)
   in
-  (* transition-aware swing clamping across the schedule *)
-  let domain_max = Array.make Domain.count Freq.fmin_mhz in
-  Array.iteri
-    (fun i s ->
-      if a.intervals.(i).duration_ps > 0.0 then
-        Array.iteri
-          (fun d f -> if f > domain_max.(d) then domain_max.(d) <- f)
-          s)
-    settings;
-  let clamped =
-    Array.mapi
-      (fun i s ->
-        Array.mapi
-          (fun d f ->
-            let allowance =
-              Plan.swing_allowance_mhz
-                ~duration_ps:a.intervals.(i).duration_ps
-                ~f_target_mhz:domain_max.(d)
-            in
-            Freq.clamp (max f (domain_max.(d) - allowance)))
-          s)
-      settings
-  in
-  { interval_insts = a.interval_insts; settings = clamped }
+  {
+    interval_insts = a.interval_insts;
+    settings = Array.of_list (Plan.clamp_swings entries);
+  }
 
 let policy schedule =
   let current = ref (-1) in

@@ -4,8 +4,8 @@
     Unlike profile-driven reconfiguration, the oracle ignores program
     structure: it divides the production run into fixed instruction
     intervals, analyses each interval's dependence DAG with perfect
-    knowledge (shaker + slowdown thresholding + critical-path
-    validation), and plays the resulting per-interval schedule back
+    knowledge ({!Analyze.shake}, then the plans' own decision stages),
+    and plays the resulting per-interval schedule back
     during the measured run, reconfiguring at interval boundaries. *)
 
 type interval_data = {
@@ -51,10 +51,12 @@ type schedule = {
 }
 
 val schedule_of : analysis -> slowdown_pct:float -> schedule
-(** Threshold + critical-path validation per interval, then
-    transition-aware swing clamping across the schedule (consecutive
+(** {!Plan.decide} per interval with a histogram (full speed without
+    one), then {!Plan.clamp_swings} across the schedule (consecutive
     intervals are exactly the back-to-back phases that ramp into each
-    other). *)
+    other): an interval contributes to the per-domain maxima when its
+    measured duration is positive, and its allowance follows that
+    duration. *)
 
 val policy : schedule -> Mcd_cpu.Controller.t
 (** Play the schedule back: at each sampling point the controller writes

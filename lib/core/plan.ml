@@ -15,7 +15,7 @@ type t = {
   node_paths : (int, Path_model.t) Hashtbl.t;
 }
 
-let fresh_histograms () =
+let empty_histograms () =
   Array.init Domain.count (fun _ -> Histogram.create ~bins:Freq.num_steps)
 
 (* Fraction of a node's duration that may be lost to an entry ramp. *)
@@ -42,122 +42,101 @@ let avg_duration_ps (pm : Path_model.t) =
       List.fold_left (fun a s -> a +. s.Path_model.base_ps) 0.0 segs
       /. float_of_int (List.length segs)
 
-(* Clamp every setting to within the swing allowance of the per-domain
-   maximum across the given settings, so that no reconfiguration demands
-   a ramp the destination cannot amortize. [duration_of] supplies each
-   key's average duration (0 disables scaling for that key entirely,
-   falling back to the maximum). *)
-let clamp_swings settings ~duration_of ~contributes =
+let decide ~slowdown_pct hists paths =
+  Path_model.refine paths
+    (Threshold.setting_of_histograms hists ~slowdown_pct)
+    ~slowdown_pct
+
+let clamp_swings entries =
   let domain_max = Array.make Domain.count Freq.fmin_mhz in
-  Hashtbl.iter
-    (fun key (s : Reconfig.setting) ->
-      if contributes key then
+  List.iter
+    (fun ((s : Reconfig.setting), _, contributes) ->
+      if contributes then
         Array.iteri
           (fun i f -> if f > domain_max.(i) then domain_max.(i) <- f)
           s)
-    settings;
-  let clamped = Hashtbl.create (Hashtbl.length settings) in
-  Hashtbl.iter
-    (fun key (s : Reconfig.setting) ->
-      let duration_ps = duration_of key in
-      let s' =
-        Array.mapi
-          (fun i f ->
-            let allowance =
-              swing_allowance_mhz ~duration_ps
-                ~f_target_mhz:domain_max.(i)
-            in
-            Freq.clamp (max f (domain_max.(i) - allowance)))
-          s
-      in
-      Hashtbl.replace clamped key s')
-    settings;
-  clamped
+    entries;
+  List.map
+    (fun ((s : Reconfig.setting), duration_ps, _) ->
+      Array.mapi
+        (fun i f ->
+          let allowance =
+            swing_allowance_mhz ~duration_ps ~f_target_mhz:domain_max.(i)
+          in
+          Freq.clamp (max f (domain_max.(i) - allowance)))
+        s)
+    entries
 
 let make ~tree ~context ~slowdown_pct ~node_histograms ?(node_paths = []) () =
   let hist_tbl = Hashtbl.create 32 in
   List.iter (fun (id, h) -> Hashtbl.replace hist_tbl id h) node_histograms;
   let paths_tbl = Hashtbl.create 32 in
   List.iter (fun (id, p) -> Hashtbl.replace paths_tbl id p) node_paths;
-  let node_settings = Hashtbl.create 32 in
+  let long_nodes = Call_tree.long_nodes tree in
+  (* per-static-unit histograms and path models, merged in long-node
+     order *)
   let unit_hists = Hashtbl.create 32 in
   let unit_paths = Hashtbl.create 32 in
   List.iter
     (fun (n : Call_tree.node) ->
-      let setting =
-        match Hashtbl.find_opt hist_tbl n.Call_tree.id with
-        | None -> Reconfig.full_speed ()
-        | Some hists ->
-            let s = Threshold.setting_of_histograms hists ~slowdown_pct in
-            (* validate against the node's recorded critical paths *)
-            (match Hashtbl.find_opt paths_tbl n.Call_tree.id with
-            | Some pm -> Path_model.refine pm s ~slowdown_pct
-            | None -> s)
-      in
-      Hashtbl.replace node_settings n.Call_tree.id setting;
-      (* accumulate per-static-unit merged histograms and path models *)
       match Call_tree.static_unit_of n.Call_tree.kind with
       | None -> ()
       | Some u ->
-          (match Hashtbl.find_opt hist_tbl n.Call_tree.id with
-          | None -> ()
-          | Some hists ->
+          Option.iter
+            (fun hists ->
               let acc =
                 match Hashtbl.find_opt unit_hists u with
                 | Some a -> a
                 | None ->
-                    let a = fresh_histograms () in
+                    let a = empty_histograms () in
                     Hashtbl.add unit_hists u a;
                     a
               in
               Array.iteri
                 (fun i h -> Histogram.merge_into ~dst:acc.(i) ~src:h)
-                hists);
-          (match Hashtbl.find_opt paths_tbl n.Call_tree.id with
-          | None -> ()
-          | Some pm ->
-              let merged =
-                match Hashtbl.find_opt unit_paths u with
+                hists)
+            (Hashtbl.find_opt hist_tbl n.Call_tree.id);
+          Option.iter
+            (fun pm ->
+              Hashtbl.replace unit_paths u
+                (match Hashtbl.find_opt unit_paths u with
                 | Some existing -> Path_model.union existing pm
-                | None -> pm
-              in
-              Hashtbl.replace unit_paths u merged))
-    (Call_tree.long_nodes tree);
-  let unit_settings = Hashtbl.create 32 in
-  List.iter
-    (fun u ->
-      let setting =
-        match Hashtbl.find_opt unit_hists u with
-        | None -> Reconfig.full_speed ()
-        | Some hists ->
-            let s = Threshold.setting_of_histograms hists ~slowdown_pct in
-            (match Hashtbl.find_opt unit_paths u with
-            | Some pm -> Path_model.refine pm s ~slowdown_pct
-            | None -> s)
-      in
-      Hashtbl.replace unit_settings u setting)
-    (Call_tree.long_static_units tree);
-  (* transition-aware swing clamping; nodes that never produced data
-     (full speed by default, typically rarely executed) neither scale
-     nor define the per-domain maxima *)
-  let node_settings =
-    clamp_swings node_settings
-      ~duration_of:(fun id ->
-        match Hashtbl.find_opt paths_tbl id with
-        | Some pm -> avg_duration_ps pm
-        | None -> 0.0)
-      ~contributes:(fun id -> Hashtbl.mem hist_tbl id)
+                | None -> pm))
+            (Hashtbl.find_opt paths_tbl n.Call_tree.id))
+    long_nodes;
+  (* keys that never produced data (full speed by default, typically
+     rarely executed) neither scale nor define the per-domain maxima of
+     the swing clamp *)
+  let settings keys ~hists ~paths =
+    let entries =
+      List.map
+        (fun key ->
+          let pm =
+            Option.value (Hashtbl.find_opt paths key) ~default:Path_model.empty
+          in
+          match Hashtbl.find_opt hists key with
+          | None -> (Reconfig.full_speed (), avg_duration_ps pm, false)
+          | Some h -> (decide ~slowdown_pct h pm, avg_duration_ps pm, true))
+        keys
+    in
+    let tbl = Hashtbl.create 32 in
+    List.iter2 (Hashtbl.replace tbl) keys (clamp_swings entries);
+    tbl
   in
-  let unit_settings =
-    clamp_swings unit_settings
-      ~duration_of:(fun u ->
-        match Hashtbl.find_opt unit_paths u with
-        | Some pm -> avg_duration_ps pm
-        | None -> 0.0)
-      ~contributes:(fun u -> Hashtbl.mem unit_hists u)
-  in
-  { tree; context; slowdown_pct; node_settings; unit_settings;
-    node_histograms = hist_tbl; node_paths = paths_tbl }
+  {
+    tree;
+    context;
+    slowdown_pct;
+    node_settings =
+      settings
+        (List.map (fun (n : Call_tree.node) -> n.Call_tree.id) long_nodes)
+        ~hists:hist_tbl ~paths:paths_tbl;
+    unit_settings =
+      settings (Call_tree.long_static_units tree) ~hists:unit_hists
+        ~paths:unit_paths;
+    node_histograms = hist_tbl;
+    node_paths = paths_tbl;
+  }
 
 let setting_for_node t id = Hashtbl.find_opt t.node_settings id
 let setting_for_unit t u = Hashtbl.find_opt t.unit_settings u

@@ -33,24 +33,51 @@ val make :
   ?node_paths:(int * Path_model.t) list ->
   unit ->
   t
-(** Runs thresholding per node and per merged static unit, then — when a
-    path model is available — validates each chosen setting against the
-    node's recorded critical paths, raising frequencies until the
-    estimated slowdown respects the delta (the delay-calculation step).
-    Finally applies transition-aware swing clamping (below). Long nodes
-    with no recorded histogram get full-speed settings. *)
+(** {!decide}s every long node with a histogram and every static unit
+    over the histograms and path models of its long-node instances,
+    merged in long-node order; keys with no histogram get full-speed
+    settings. Then {!clamp_swings} runs once over the nodes and once over
+    the units, each key's duration being the mean full-speed length of
+    its path model's segments. *)
+
+val empty_histograms : unit -> Mcd_util.Histogram.t array
+(** One empty histogram per domain, one bin per frequency step: the
+    accumulator for a node's or unit's merged shaker output. *)
+
+val decide :
+  slowdown_pct:float ->
+  Mcd_util.Histogram.t array ->
+  Path_model.t ->
+  Mcd_domains.Reconfig.setting
+(** The frequency decision for one node, static unit or oracle interval:
+    slowdown thresholding of the per-domain histograms (the paper's
+    §3.3), then {!Path_model.refine}, which raises domains until the
+    critical-path estimate respects the delta (the delay-calculation
+    step). With {!Path_model.empty} the refine returns the thresholded
+    setting unchanged. *)
 
 val swing_allowance_mhz : duration_ps:float -> f_target_mhz:int -> int
 (** Transition-aware swing bound. Frequency slews at 73.3 ns/MHz, so a
     node entered with a domain [delta] MHz below its chosen point loses
     roughly [delta^2 x 36.65 / f] ns of that domain's work to the ramp.
     This returns the largest [delta] whose ramp loss stays within a
-    small fraction of the node's duration. Plans clamp every node's
-    per-domain setting to within this allowance of the suite-wide
-    maximum for that domain, so no reconfiguration can trigger a ramp
-    the destination node cannot amortize. (The paper never needed this:
+    small fraction of the node's duration. {!clamp_swings} keeps every
+    per-domain setting within this allowance of the maximum for that
+    domain, so no reconfiguration can trigger a ramp the destination
+    node cannot amortize. (The paper never needed this:
     its phases were millions of instructions, far longer than the 55 us
     full-range transition; our scaled-down windows are not.) *)
+
+val clamp_swings :
+  (Mcd_domains.Reconfig.setting * float * bool) list ->
+  Mcd_domains.Reconfig.setting list
+(** Transition-aware swing clamping over [(setting, duration_ps,
+    contributes)] entries, in order: each domain of each setting is
+    raised to at least the per-domain maximum over the contributing
+    entries minus that entry's {!swing_allowance_mhz}. A zero duration
+    allows no swing, so the entry runs at the maximum. Plans clamp
+    their nodes and their units this way, and {!Oracle.schedule_of} its
+    intervals. *)
 
 val setting_for_node : t -> int -> Mcd_domains.Reconfig.setting option
 (** [Some] exactly for long-running nodes. *)

@@ -248,10 +248,7 @@ let of_string_result ?(path = "<string>") ~tree content =
                            match Hashtbl.find_opt node_histograms id with
                            | Some hs -> hs
                            | None ->
-                               let hs =
-                                 Array.init Domain.count (fun _ ->
-                                     Histogram.create ~bins:Freq.num_steps)
-                               in
+                               let hs = Plan.empty_histograms () in
                                Hashtbl.add node_histograms id hs;
                                hs
                          in
@@ -338,14 +335,6 @@ let load_result ~path ~tree =
   | exception Sys_error message ->
       Result.Error [ Error.Io_error { path; message } ]
   | content -> of_string_result ~path ~tree content
-
-let load ~path ~tree =
-  match load_result ~path ~tree with
-  | Result.Ok { plan; warnings = _ } -> plan
-  | Result.Error errors ->
-      failwith
-        ("Plan_io: "
-        ^ String.concat "; " (List.map Error.to_string errors))
 
 (* --- whole-plan validation --------------------------------------------- *)
 

@@ -11,16 +11,15 @@
     rebuilds it and verifies a structural fingerprint, refusing to apply
     a plan to a program that has changed shape since training.
 
-    Loading is where reality can diverge from the profile, so it comes
-    in two flavours. {!load_result} is the primary API: it returns
-    typed diagnostics ({!Mcd_robust.Error.t}) instead of raising, and
-    implements the degradation policy — unrecoverable corruption
-    (unreadable file, bad header, malformed line, fingerprint mismatch,
-    out-of-range frequency) rejects the plan with the full list of
-    errors, while near-misses (an off-grid but in-range frequency, a
-    NaN or negative histogram weight, a setting for a node the rebuilt
-    tree does not have) are repaired in place and reported as warnings.
-    {!load} is the legacy raising wrapper. *)
+    Loading is where reality can diverge from the profile, so
+    {!load_result} returns typed diagnostics ({!Mcd_robust.Error.t})
+    instead of raising, and implements the degradation policy —
+    unrecoverable corruption (unreadable file, bad header, malformed
+    line, fingerprint mismatch, out-of-range frequency) rejects the plan
+    with the full list of errors, while near-misses (an off-grid but
+    in-range frequency, a NaN or negative histogram weight, a setting
+    for a node the rebuilt tree does not have) are repaired in place and
+    reported as warnings. *)
 
 val fingerprint : Mcd_profiling.Call_tree.t -> string
 (** Hex digest of the tree's structure (kinds, parentage, long flags). *)
@@ -59,13 +58,6 @@ val load_result :
 (** Read a plan back, attaching it to a freshly rebuilt tree. [Error]
     carries every unrecoverable diagnostic found (never an empty
     list); the file's remaining content is not partially applied. *)
-
-val load : path:string -> tree:Mcd_profiling.Call_tree.t -> Plan.t
-(** Raising wrapper around {!load_result}: raises [Failure] with the
-    rendered diagnostics if the file is malformed or the tree
-    fingerprint does not match (the program or training input changed
-    since {!save}); warnings are applied silently. New callers should
-    prefer {!load_result}. *)
 
 val validate : Plan.t -> Mcd_robust.Error.t list
 (** The full validation pass over an in-memory plan: setting arity and

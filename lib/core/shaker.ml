@@ -19,13 +19,16 @@ let power_at ~p0 ~f = p0 *. Freq.energy_scale f *. (f /. fmax)
 let freq_of ~orig ~dur = fmax *. orig /. dur
 let dur_at ~orig ~f = orig *. fmax /. f
 
+(* The stretch threshold's decay per backward+forward pass pair. *)
+let stretch_decay = 0.85
+
 (* The min/max folds below compare relative powers (positive
    constants), starts, ends and their differences. Starts begin as
    float_of_int of non-negative ints, durations stay >= 1 and x -. x is
    +0, so these values are finite and never -0.0: a plain [<]/[>]
    selects the value Float.min/Float.max would, and
    [if x > 0.0 then x else 0.0] is exactly [Float.max 0.0 x]. *)
-let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
+let run ?(max_passes = 24) (dag : Dag.t) =
   let n = Dag.size dag in
   let order = dag.Dag.order and dom = dag.Dag.domain in
   let succ_off = dag.Dag.succ_off and succ = dag.Dag.succ in
@@ -163,7 +166,7 @@ let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
       if !max_pred_end < start.(id) then start.(id) <- !max_pred_end
     done;
     passes_done := !pass;
-    stretch_threshold := !stretch_threshold *. threshold_decay;
+    stretch_threshold := !stretch_threshold *. stretch_decay;
     if !stretched then quiet_pairs := 0 else incr quiet_pairs
   done;
   let histograms =

@@ -24,13 +24,10 @@ type result = {
   total_events : int;
 }
 
-val run :
-  ?max_passes:int ->
-  ?threshold_decay:float ->
-  Dag.t ->
-  result
-(** Defaults: 24 pass pairs, threshold decay 0.85 per pair. The DAG is
-    not modified (the shaker works on copies of the schedule). *)
+val run : ?max_passes:int -> Dag.t -> result
+(** At most [max_passes] pass pairs (default 24); the threshold decays
+    by 0.85 per pair. The DAG is not modified (the shaker works on
+    copies of the schedule). *)
 
 val frequencies_of_durations :
   orig:float array -> stretched:float array -> int array

@@ -87,15 +87,6 @@ let eval_cell (w : Workload.t) fault ~rng =
       let interventions = Degrade.interventions counters in
       let recovery = if interventions = 0 then Clean else Repaired in
       (run, recovery, 0, interventions)
-  | Inject.Serve _ ->
-      (* Serve faults target the daemon's crash-safety machinery, not
-         the profile→edit→run pipeline; the chaos harness
-         (tools/chaos_smoke.ml) drives them against a live server. In
-         this campaign the cell degenerates to an unfaulted run, which
-         must trivially sit inside the bound. *)
-      let plan = Runner.plan_for w ~context ~train:`Train in
-      let edited = Editor.edit plan in
-      (guarded_run w edited.Editor.controller, Clean, 0, 0)
 
 let cell (w : Workload.t) fault ~rng =
   let baseline = Runner.baseline w in

@@ -45,7 +45,7 @@ let dominates a b =
   && (a.Runner.degradation_pct < b.Runner.degradation_pct
      || a.Runner.savings_pct > b.Runner.savings_pct)
 
-let run ?(contenders = Runner.contenders) ?(workloads = Suite.all) () =
+let run ?(workloads = Suite.all) () =
   (* fan out per workload: a worker simulates every contender on its
      benchmark, so the baseline run is computed once per worker and the
      long pole (one slow benchmark) bounds the sweep *)
@@ -58,7 +58,7 @@ let run ?(contenders = Runner.contenders) ?(workloads = Suite.all) () =
             (fun (p : Policy.t) ->
               ( p.Policy.label,
                 (p, Runner.compare_runs ~baseline (Runner.policy_run p w)) ))
-            (contenders w) ))
+            (Runner.contenders w) ))
       workloads
   in
   let entry (label, ((p : Policy.t), _)) =

@@ -36,15 +36,11 @@ val quick_names : string list
 
 val quick_workloads : unit -> Mcd_workloads.Workload.t list
 
-val run :
-  ?contenders:(Mcd_workloads.Workload.t -> Mcd_control.Policy.t list) ->
-  ?workloads:Mcd_workloads.Workload.t list ->
-  unit ->
-  t
-(** Race [contenders w] (default {!Runner.contenders}) on each of
-    [workloads] (default the full 19-benchmark suite), fanning out per
-    workload over {!Runner.map_workloads}. Entries follow the labels of
-    the first workload's contenders. *)
+val run : ?workloads:Mcd_workloads.Workload.t list -> unit -> t
+(** Race {!Runner.contenders}[ w] on each of [workloads] (default the
+    full 19-benchmark suite), fanning out per workload over
+    {!Runner.map_workloads}. Entries follow the labels of the first
+    workload's contenders. *)
 
 val render : t -> string
 (** The ranked human table. *)

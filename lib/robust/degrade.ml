@@ -34,9 +34,7 @@ let default_max_reissues = 3
 let stall_epsilon_mhz = 1.0
 let stall_streak_limit = 4
 
-let guard ?(log = fun (_ : Error.t) -> ()) ?sink
-    ?(watchdog_interval_cycles = default_watchdog_interval_cycles)
-    ?(max_reissues = default_max_reissues) ~counters:c inner =
+let guard ?(log = fun (_ : Error.t) -> ()) ?sink ~counters:c inner =
   let degraded = ref false in
   let quiet = ref false in
   let commanded : int array option ref = ref None in
@@ -112,7 +110,7 @@ let guard ?(log = fun (_ : Error.t) -> ()) ?sink
             cmd;
           if !mismatch then begin
             incr mismatch_streak;
-            if !mismatch_streak <= max_reissues then begin
+            if !mismatch_streak <= default_max_reissues then begin
               c.reissues <- c.reissues + 1;
               emit ~now "watchdog: reissuing lost reconfiguration write";
               action := Some (Array.copy cmd)
@@ -183,5 +181,5 @@ let guard ?(log = fun (_ : Error.t) -> ()) ?sink
     sample_interval_cycles =
       (if inner.Controller.sample_interval_cycles > 0 then
          inner.Controller.sample_interval_cycles
-       else watchdog_interval_cycles);
+       else default_watchdog_interval_cycles);
   }

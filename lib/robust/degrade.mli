@@ -64,8 +64,6 @@ val stall_streak_limit : int
 val guard :
   ?log:(Error.t -> unit) ->
   ?sink:Mcd_obs.Sink.t ->
-  ?watchdog_interval_cycles:int ->
-  ?max_reissues:int ->
   counters:counters ->
   Mcd_cpu.Controller.t ->
   Mcd_cpu.Controller.t

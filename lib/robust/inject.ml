@@ -13,16 +13,7 @@ type file_fault =
 
 type runtime_fault = Stuck_domain | Lost_writes | Frozen_slew
 
-type serve_fault =
-  | Worker_crash
-  | Torn_journal
-  | Socket_drop
-  | Delayed_completion
-
-type fault =
-  | File of file_fault
-  | Runtime of runtime_fault
-  | Serve of serve_fault
+type fault = File of file_fault | Runtime of runtime_fault
 
 let all =
   [
@@ -36,14 +27,6 @@ let all =
     Runtime Frozen_slew;
   ]
 
-let serve_all =
-  [
-    Serve Worker_crash;
-    Serve Torn_journal;
-    Serve Socket_drop;
-    Serve Delayed_completion;
-  ]
-
 let name = function
   | File Truncate -> "truncate"
   | File Bit_flip -> "bit-flip"
@@ -53,13 +36,9 @@ let name = function
   | Runtime Stuck_domain -> "stuck-domain"
   | Runtime Lost_writes -> "lost-writes"
   | Runtime Frozen_slew -> "frozen-slew"
-  | Serve Worker_crash -> "worker-crash"
-  | Serve Torn_journal -> "torn-journal"
-  | Serve Socket_drop -> "socket-drop"
-  | Serve Delayed_completion -> "delayed-completion"
 
-let names = List.map name (all @ serve_all)
-let of_name s = List.find_opt (fun f -> name f = s) (all @ serve_all)
+let names = List.map name all
+let of_name s = List.find_opt (fun f -> name f = s) all
 
 (* --- artifact corruption --------------------------------------------- *)
 
@@ -204,7 +183,7 @@ let dvfs_faults fault ~rng =
       [ Dvfs.Frozen_slew (Domain.of_index (Rng.int rng Domain.count)) ]
   | Lost_writes -> []
 
-(* --- serve faults ------------------------------------------------------ *)
+(* --- daemon crash mechanisms ------------------------------------------ *)
 
 (* A worker crash is modelled as whole-process death, not an exception:
    a raising compute would fail the job *terminally* (answered typed,
@@ -214,10 +193,6 @@ let dvfs_faults fault ~rng =
 let crash_compute ?(after_s = 0.0) () _req =
   if after_s > 0.0 then Unix.sleepf after_s;
   Unix._exit 9
-
-let delay_compute ~rng ~max_delay_s compute req =
-  Unix.sleepf (Rng.float rng max_delay_s);
-  compute req
 
 (* A crash mid-append leaves a prefix of the record on disk; tearing
    cuts a random short tail so recovery must classify it as torn (good

@@ -5,19 +5,18 @@
     pin) draws from an {!Mcd_util.Rng} stream, so a campaign run with a
     given seed is bit-reproducible.
 
-    Faults come in three layers. {e Artifact faults} corrupt a saved
+    Faults come in two layers. {e Artifact faults} corrupt a saved
     plan file on disk — what happens when a shipped profile is
     truncated in transit, bit-rotted, or simply stale. {e Runtime
     faults} corrupt the machine's reconfiguration behaviour — a domain
     whose frequency is stuck, register writes that are silently lost, a
-    voltage ramp that never completes. {e Serve faults} attack the
-    experiment daemon's crash-safety machinery — a worker that dies
-    mid-compute, a journal append torn by the crash, a socket severed
-    mid-payload, a compute that outruns every deadline. Serve faults
-    are driven against a live server by the chaos harness
-    ([tools/chaos_smoke.ml]) and are deliberately {e not} part of
-    {!all}, so the workload robustness campaign keeps its
-    eight-fault-per-cell semantics. *)
+    voltage ramp that never completes. {!all} lists both layers: the
+    robustness campaign's eight fault classes.
+
+    The experiment daemon's crash safety is attacked by the chaos
+    harness ([tools/chaos_smoke.ml]) instead, with two mechanisms from
+    this module — {!crash_compute} and {!tear_file} — and a [SIGKILL]
+    of the live server. Those have no campaign fault names. *)
 
 type file_fault =
   | Truncate  (** drop the tail of the file *)
@@ -40,41 +39,19 @@ type runtime_fault =
   | Frozen_slew
       (** one domain accepts targets but its ramp never moves *)
 
-type serve_fault =
-  | Worker_crash
-      (** the worker's whole process dies mid-compute (SIGKILL-like);
-          the job stays incomplete in the journal and must be replayed
-          — contrast a raising compute, which fails the job terminally *)
-  | Torn_journal
-      (** a journal append is cut short by the crash, leaving a partial
-          record that recovery must drop silently *)
-  | Socket_drop
-      (** the server dies between ack and payload, severing every
-          connection mid-exchange; clients must reconnect and refetch *)
-  | Delayed_completion
-      (** a compute sleeps far past the per-job deadline, exercising
-          the stuck-worker watchdog *)
-
-type fault =
-  | File of file_fault
-  | Runtime of runtime_fault
-  | Serve of serve_fault
+type fault = File of file_fault | Runtime of runtime_fault
 
 val all : fault list
-(** Every file and runtime fault class, in a fixed order — the
-    robustness campaign grid. Serve faults are not included; see
-    {!serve_all}. *)
-
-val serve_all : fault list
-(** Every serve fault class, in a fixed order. *)
+(** Every fault class, in a fixed order — the robustness campaign
+    grid. *)
 
 val name : fault -> string
 
 val of_name : string -> fault option
-(** Resolves every fault in [all @ serve_all]. *)
+(** Resolves every fault in {!all}. *)
 
 val names : string list
-(** Names of [all @ serve_all]. *)
+(** Names of {!all}. *)
 
 val corrupt_file : file_fault -> rng:Mcd_util.Rng.t -> path:string -> unit
 (** Corrupt the plan file at [path] in place. When a fault has no
@@ -96,23 +73,17 @@ val harness :
     other runtime faults live in the hardware model and leave the
     controller untouched. *)
 
-(** {2 Serve-fault mechanisms}
+(** {2 Daemon crash mechanisms}
 
     Building blocks the chaos harness composes around a server's
-    [compute] seam or journal file. [Socket_drop] has no combinator —
-    its mechanism {e is} the harness's [SIGKILL] of a server with
-    clients parked mid-exchange. *)
+    [compute] seam or journal file. *)
 
 val crash_compute : ?after_s:float -> unit -> 'a -> 'b
 (** A compute that sleeps [after_s] (default 0) and then kills the
-    whole process with [Unix._exit 9] — [Worker_crash]. Never
-    returns. *)
-
-val delay_compute :
-  rng:Mcd_util.Rng.t -> max_delay_s:float -> ('a -> 'b) -> 'a -> 'b
-(** Sleep a uniform draw from [0, max_delay_s) before computing —
-    [Delayed_completion]. *)
+    whole process with [Unix._exit 9]: a worker dying mid-job, which
+    leaves the job incomplete in the journal for replay (a raising
+    compute would fail it terminally instead). Never returns. *)
 
 val tear_file : rng:Mcd_util.Rng.t -> path:string -> unit
-(** Cut 1–80 bytes off the file's tail in place — [Torn_journal], a
-    crash mid-append. No-op on an empty file. *)
+(** Cut 1–80 bytes off the file's tail in place: a journal append torn
+    by a crash. No-op on an empty file. *)

@@ -10,7 +10,6 @@ type config = {
   client_max : int;
   conn_inflight_max : int;
   outbuf_max_bytes : int;
-  compute_delay_s : float;
   trace_dir : string option;
   drain_grace_s : float;
   drain_deadline_s : float;
@@ -34,7 +33,6 @@ let default_config ~socket =
     client_max = 16;
     conn_inflight_max = 128;
     outbuf_max_bytes = 16 * 1024 * 1024;
-    compute_delay_s = 0.0;
     trace_dir = None;
     drain_grace_s = 1.0;
     drain_deadline_s = 60.0;
@@ -681,10 +679,6 @@ let run ?(digest = request_digest) ?compute:(compute_fn = compute) cfg =
           Unix.set_nonblock wake_w;
           Unix.set_nonblock wake_r;
           install_signal_handlers ~wake:wake_w;
-          let compute_wrapped req =
-            if cfg.compute_delay_s > 0.0 then Unix.sleepf cfg.compute_delay_s;
-            compute_fn req
-          in
           (* on_complete runs in a worker (or watchdog) domain before the
              self-pipe poke; Journal.append serializes under its own
              mutex. The scheduler ref breaks the create-order knot: the
@@ -707,7 +701,7 @@ let run ?(digest = request_digest) ?compute:(compute_fn = compute) cfg =
             Scheduler.create ~workers:cfg.workers ~queue_max:cfg.queue_max
               ~client_max:cfg.client_max ?deadline_s:cfg.deadline_s
               ~retry_after_cap_ms:cfg.retry_after_cap_ms ~on_complete
-              ~compute:compute_wrapped ()
+              ~compute:compute_fn ()
           in
           sched_cell := Some sched;
           ignore (Scheduler.restore sched ~next_id replay);

@@ -66,9 +66,6 @@ type config = {
   outbuf_max_bytes : int;
       (** slow-reader bound: a connection whose unflushed output
           exceeds this is disconnected (default 16 MiB) *)
-  compute_delay_s : float;
-      (** artificial pre-compute sleep, a testing aid that makes
-          overload and drain timing deterministic (default 0) *)
   trace_dir : string option;
       (** when set, {!Mcd_obs.Export.write_dir} the sink there on
           exit *)

@@ -1,4 +1,4 @@
-let bars ?(width = 40) ?(unit_label = "%") ~groups () =
+let bars ?(width = 40) ~groups () =
   let max_abs =
     List.fold_left
       (fun acc (_, series) ->
@@ -39,15 +39,17 @@ let bars ?(width = 40) ?(unit_label = "%") ~groups () =
             Buffer.add_string buf fill
           done;
           Buffer.add_string buf
-            (Printf.sprintf "%s %.1f%s\n"
+            (Printf.sprintf "%s %.1f%%\n"
                (String.make (max 0 (width - cells)) ' ')
-               v unit_label))
+               v))
         series;
       Buffer.add_char buf '\n')
     groups;
   Buffer.contents buf
 
-let scatter ?(width = 64) ?(height = 20) ~xlabel ~ylabel ~series () =
+let height = 20
+
+let scatter ?(width = 64) ~xlabel ~ylabel ~series () =
   let all = List.concat_map snd series in
   match all with
   | [] -> "(no data)\n"

@@ -7,23 +7,21 @@
 
 val bars :
   ?width:int ->
-  ?unit_label:string ->
   groups:(string * (string * float) list) list ->
   unit ->
   string
 (** [bars ~groups] renders one bar per (group, series) pair, scaled to
     the largest absolute value. Negative values render leftward with a
-    distinct fill. [width] is the bar field width in characters
-    (default 40). *)
+    distinct fill, and every value is labelled in percent. [width] is
+    the bar field width in characters (default 40). *)
 
 val scatter :
   ?width:int ->
-  ?height:int ->
   xlabel:string ->
   ylabel:string ->
   series:(string * (float * float) list) list ->
   unit ->
   string
-(** Character-grid scatter plot; each series is drawn with its own
-    glyph. Axes are scaled to the data's bounding box (origin included
-    when close). *)
+(** Character-grid scatter plot, [width] columns (default 64) by 20
+    rows; each series is drawn with its own glyph. Axes are scaled to
+    the data's bounding box (origin included when close). *)

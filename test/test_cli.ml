@@ -203,6 +203,21 @@ let test_run_unknown_policy_lists_labels () =
         (Helpers.contains ~needle:l err))
     (Mcd_control.Policies.names () @ [ "offline"; "profile"; "global" ])
 
+(* The robustness campaign injects the eight pipeline fault classes and
+   nothing else: any other name, such as the daemon crash the chaos
+   harness drives, is a usage error that lists the real classes. *)
+let test_robustness_rejects_unknown_fault () =
+  let code, err = run_cli [ "robustness"; "--fault"; "worker-crash" ] in
+  Alcotest.(check int) ("robustness --fault worker-crash exits 124: " ^ err)
+    124 code;
+  Alcotest.(check int) "eight fault classes" 8
+    (List.length Mcd_robust.Inject.names);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("error lists " ^ name) true
+        (Helpers.contains ~needle:name err))
+    Mcd_robust.Inject.names
+
 let suite =
   [
     ("help names every subcommand", `Quick, test_help_names_every_subcommand);
@@ -215,4 +230,7 @@ let suite =
     ( "run lists every policy label",
       `Quick,
       test_run_unknown_policy_lists_labels );
+    ( "robustness rejects unknown fault",
+      `Quick,
+      test_robustness_rejects_unknown_fault );
   ]

@@ -659,7 +659,11 @@ let test_plan_io_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Mcd_core.Plan_io.save plan ~path;
-      let loaded = Mcd_core.Plan_io.load ~path ~tree:plan.Plan.tree in
+      let loaded =
+        match Mcd_core.Plan_io.load_result ~path ~tree:plan.Plan.tree with
+        | Ok { Mcd_core.Plan_io.plan; warnings = _ } -> plan
+        | Error _ -> Alcotest.fail "saved plan did not load"
+      in
       Alcotest.(check string) "context preserved"
         plan.Plan.context.Context.name loaded.Plan.context.Context.name;
       Alcotest.(check (float 1e-9)) "slowdown preserved"
@@ -701,9 +705,9 @@ let test_plan_io_fingerprint_mismatch () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Mcd_core.Plan_io.save plan ~path;
-      match Mcd_core.Plan_io.load ~path ~tree:other_tree with
-      | _ -> Alcotest.fail "expected fingerprint mismatch"
-      | exception Failure _ -> ())
+      match Mcd_core.Plan_io.load_result ~path ~tree:other_tree with
+      | Ok _ -> Alcotest.fail "expected fingerprint mismatch"
+      | Error _ -> ())
 
 let test_plan_io_rejects_garbage () =
   let path = Filename.temp_file "mcd_plan" ".txt" in
@@ -714,9 +718,9 @@ let test_plan_io_rejects_garbage () =
       output_string oc "not a plan\n";
       close_out oc;
       let plan, _ = analyze_two_phase () in
-      match Mcd_core.Plan_io.load ~path ~tree:plan.Plan.tree with
-      | _ -> Alcotest.fail "expected failure"
-      | exception Failure _ -> ())
+      match Mcd_core.Plan_io.load_result ~path ~tree:plan.Plan.tree with
+      | Ok _ -> Alcotest.fail "expected failure"
+      | Error _ -> ())
 
 (* typed-error loading: corruption yields diagnostics, not exceptions *)
 

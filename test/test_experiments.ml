@@ -276,6 +276,92 @@ let test_golden_analysis_digests () =
       ("mpeg2 decode", Context.lfcp, "398b7b93333994e4cfc28cc87496b44e");
     ]
 
+(* Every frequency decision goes through Plan.decide and
+   Plan.clamp_swings: pin the oracle's schedules and the re-thresholded
+   plans away from the default delta (digests captured before the
+   decision stages were shared). An oracle schedule renders as
+   "interval_insts|" then its intervals joined by ';', each interval's
+   domain frequencies joined by ','. At delta 7 [with_slowdown]
+   reproduces the plan goldens above. *)
+let test_golden_decision_digests () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, digests) ->
+      let w = Suite.by_name name in
+      let oracle =
+        Mcd_core.Oracle.analyze ~program:w.Workload.program
+          ~input:w.Workload.reference
+          ~trace_insts:(w.Workload.ref_offset + w.Workload.ref_window)
+          ~config:Mcd_cpu.Config.alpha21264_like ()
+      in
+      List.iter
+        (fun (delta, digest) ->
+          let s = Mcd_core.Oracle.schedule_of oracle ~slowdown_pct:delta in
+          let settings =
+            Array.to_list s.Mcd_core.Oracle.settings
+            |> List.map (fun st ->
+                   String.concat ","
+                     (List.map string_of_int (Array.to_list st)))
+            |> String.concat ";"
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s oracle schedule at %g%%" name delta)
+            digest
+            (md5
+               (Printf.sprintf "%d|%s" s.Mcd_core.Oracle.interval_insts
+                  settings)))
+        digests)
+    [
+      ( "adpcm decode",
+        [
+          (2.0, "6870d51b14fc657a3377439e05ab1ec8");
+          (7.0, "0ae4d822a97b7e4b0ff6842a82fe52a6");
+          (14.0, "256da1d38805f15a555ecaffba61e54c");
+        ] );
+      ( "applu",
+        [
+          (2.0, "64bd0f2665c42b426b887fd329578ed3");
+          (7.0, "a71b279022a1458dae73749054cb2d38");
+          (14.0, "97377d0253259a3f1e6bcb47eeab1907");
+        ] );
+    ];
+  List.iter
+    (fun (name, context, digests) ->
+      let plan = Runner.plan_for (Suite.by_name name) ~context ~train:`Train in
+      List.iter
+        (fun (delta, digest) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s plan at %g%%" name context.Context.name
+               delta)
+            digest
+            (md5
+               (Mcd_core.Plan_io.to_string
+                  (Mcd_core.Plan.with_slowdown plan ~slowdown_pct:delta))))
+        digests)
+    [
+      ( "adpcm decode",
+        Context.lf,
+        [
+          (2.0, "dcf55d3e00d06d739dc496b752a985e4");
+          (7.0, "2bfd1758d124a3fe165a260635bece4f");
+          (14.0, "1de65d93d5f06e14d800f80ec9946813");
+        ] );
+      ( "mpeg2 decode",
+        Context.lfcp,
+        [
+          (2.0, "af1605340304e41b5c57a55e37468737");
+          (7.0, "398b7b93333994e4cfc28cc87496b44e");
+          (14.0, "bb8564ac29c6536ef08fd1489a8fc256");
+        ] );
+      ( "applu",
+        Context.lf,
+        [
+          (2.0, "c113b313f1770a8a34326797ba68b262");
+          (7.0, "19be8b461775befaf994cc8bad5daa17");
+          (14.0, "6664890426aafe01dcf6237fa087d4ec");
+        ] );
+    ]
+
 (* The parallel runner must be invisible in the output: running the same
    experiment sequentially and with four domains has to produce
    byte-identical tables (order-preserving map + deterministic
@@ -474,4 +560,5 @@ let suite =
       test_tournament_warm_rerun_isolated );
     ("tournament report shape", `Slow, test_tournament_report_shape);
     ("table 4 dynamic points pinned", `Slow, test_table4_points_pinned);
+    ("golden decision digests", `Slow, test_golden_decision_digests);
   ]

@@ -89,16 +89,6 @@ let test_inject_names_roundtrip () =
       | Some f' -> Alcotest.(check bool) "roundtrip" true (f = f')
       | None -> Alcotest.fail ("of_name failed for " ^ Inject.name f))
     Inject.all;
-  (* the serve-layer fault classes live outside [all] (the sweep grid)
-     but still name-roundtrip for the chaos harness and CLI *)
-  Alcotest.(check int) "four serve fault classes" 4
-    (List.length Inject.serve_all);
-  List.iter
-    (fun f ->
-      match Inject.of_name (Inject.name f) with
-      | Some f' -> Alcotest.(check bool) "serve roundtrip" true (f = f')
-      | None -> Alcotest.fail ("of_name failed for " ^ Inject.name f))
-    Inject.serve_all;
   Alcotest.(check bool) "unknown name" true (Inject.of_name "gremlin" = None)
 
 let sample_plan_text =
@@ -127,7 +117,7 @@ let test_inject_corrupts_and_is_deterministic () =
   List.iter
     (fun fault ->
       match fault with
-      | Inject.Runtime _ | Inject.Serve _ -> ()
+      | Inject.Runtime _ -> ()
       | Inject.File ff ->
           let once seed =
             with_temp_plan (fun path ->

@@ -779,8 +779,11 @@ let test_scheduler_fault_isolation () =
   let rng = Rng.split (Rng.create 11) ~label:"serve" in
   Inject.corrupt_file Inject.Truncate ~rng ~path;
   let compute (r : Protocol.request) =
-    if r.Protocol.workload = "boom" then
-      ignore (Plan_io.load ~path ~tree:plan.Plan.tree : Plan.t);
+    (if r.Protocol.workload = "boom" then
+       match Plan_io.load_result ~path ~tree:plan.Plan.tree with
+       | Ok _ -> ()
+       | Error errors ->
+           failwith (String.concat "; " (List.map Error.to_string errors)));
     "survived"
   in
   with_scheduler ~compute @@ fun s ->

@@ -229,14 +229,13 @@ let phase_kill_and_restart socket ~expected_online =
   (* The artificial delay guarantees the job is still in flight when
      SIGTERM lands, so the drain path is actually exercised. *)
   let cfg =
-    {
-      (Server.default_config ~socket) with
-      workers = 1;
-      compute_delay_s = 0.5;
-      drain_grace_s = 5.0;
-    }
+    { (Server.default_config ~socket) with workers = 1; drain_grace_s = 5.0 }
   in
-  let server = fork_server cfg in
+  let compute r =
+    Unix.sleepf 0.5;
+    Server.compute r
+  in
+  let server = fork_server ~compute cfg in
   check (wait_for_server socket) "phase 3 server never came up";
   (match Client.connect ~socket with
   | Error e -> check false "phase 3 connect: %s" (Error.to_string e)
